@@ -25,7 +25,6 @@ from .fbm import (
     bounds_suite,
     cov_rh,
     eps_del,
-    grid_inner,
     load_paths,
     rho,
     sample_paths,
@@ -87,7 +86,6 @@ __all__ = [
     "derive_seed",
     "eps_del",
     "full_variation",
-    "grid_inner",
     "hermite_eval",
     "inner_product",
     "ks_two_sample",

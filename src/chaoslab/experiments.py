@@ -31,11 +31,10 @@ import time
 
 import numpy as np
 
-from .fbm import FbmGrid, sample_paths
+from .fbm import FbmGrid, stream_paths
 from .limits import (
     KS_ALPHA,
     CF_THRESHOLD,
-    PATH_CHUNK,
     MixtureSpec,
     conditional_cf_test,
     default_cf_functionals,
@@ -105,9 +104,7 @@ def mixture_comparison(
     statistic_chunks: list[np.ndarray] = []
     s2_chunks: list[np.ndarray] = []
     shift_chunks: list[np.ndarray] = []
-    for start in range(0, m, PATH_CHUNK):
-        count = min(PATH_CHUNK, m - start)
-        batch = sample_paths(grid, count, seed, method=method, first_path=start)
+    for batch in stream_paths(grid, m, seed, method):
         result = full_variation(batch, q, weight, normalization)
         statistic_chunks.append(result.renormalized)
         levels = batch.levels_at_increment_start()
@@ -235,16 +232,14 @@ def riemann_comparison(
         sq_diff = 0.0
         sq_term = 0.0
         sq_stat = 0.0
-        for start in range(0, m, PATH_CHUNK):
-            count = min(PATH_CHUNK, m - start)
-            batch = sample_paths(grid, count, seed, method=method, first_path=start)
+        for batch in stream_paths(grid, m, seed, method):
             result = full_variation(batch, q, weight, normalization)
             renormalized = factor * result.gn
             riemann = factor * result.correction
             sq_diff += float(np.sum((renormalized - riemann) ** 2))
             sq_term += float(np.sum(riemann**2))
             sq_stat += float(np.sum(renormalized**2))
-            all_n.append(np.full(count, n, dtype=float))
+            all_n.append(np.full(batch.m, n, dtype=float))
             all_renormalized.append(renormalized)
             all_riemann.append(riemann)
         distances.append(math.sqrt(sq_diff / sq_term))

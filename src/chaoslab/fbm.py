@@ -8,7 +8,9 @@ elements of the Cameron–Martin-type Hilbert space (``eps_del``, ``alpha``,
 Sampling side: exact Gaussian sampling of increments, either by Cholesky
 factorization of the covariance (small n) or by circulant embedding of the
 stationary autocovariance (large n), with counter-based per-path randomness so
-that path i is a function of (seed, i) only.
+that path i is a function of (seed, i) only.  ``stream_paths`` is the one loop
+that walks a large path sequence in ``PATH_CHUNK``-path batches; it builds
+the sampler plan for ``(grid, method)`` once and draws each RNG block once.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -21,18 +23,20 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.fft
 from scipy.linalg import cholesky, toeplitz
 
 from .report import TestReport
-from .rng import derive_seed, normal_rows, worker_count
+from .rng import derive_seed, normal_slabs, worker_count
+from .rng import normal_rows  # noqa: F401  (bound here for perfbench's tracer test)
 
 __all__ = [
     "FbmGrid",
     "FbmPathBatch",
+    "PATH_CHUNK",
     "abs_rho_power_sum",
     "alpha",
     "alpha_diag",
@@ -42,19 +46,20 @@ __all__ = [
     "del_norm",
     "embedding_spectrum",
     "eps_del",
-    "grid_inner",
     "load_paths",
     "rho",
     "sample_paths",
     "save_paths",
+    "stream_paths",
 ]
 
 CHOLESKY_MAX_N = 4096
 AUTO_METHOD_CUTOFF = 512
 EIGENVALUE_CLIP = 1e-8
-# Rows per fixed-shape sampler block (bounds transient memory at large n; the
-# raw normals for a 512-row RNG block are generated at most twice per pass).
-_TRANSFORM_BLOCK = 256
+# Paths per batch of stream_paths; a multiple of the paths in one increment
+# slab (rng.SLAB_ROWS for cholesky, twice that for circulant), so no slab is
+# split between batches.
+PATH_CHUNK = 2048
 _MAGIC = b"FBMPATH1"
 
 
@@ -143,26 +148,6 @@ def del_norm(H: float, n: int) -> float:
     """Norm of one grid increment element: ||del_{k/n}|| = n^{-H}."""
     H = _check_hurst(H)
     return float(n) ** (-H)
-
-
-def grid_inner(H: float, n: int, kind: str, *, t=None, k=None, j=None):
-    """Dispatch to the closed-form grid inner products by name.
-
-    kind = "eps_del" needs (t, k); "alpha" and "beta" need (k, j).
-    """
-    if kind == "eps_del":
-        if t is None or k is None:
-            raise ValueError("eps_del needs t and k")
-        return eps_del(H, n, t, k)
-    if kind == "alpha":
-        if k is None or j is None:
-            raise ValueError("alpha needs k and j")
-        return alpha(H, n, k, j)
-    if kind == "beta":
-        if k is None or j is None:
-            raise ValueError("beta needs k and j")
-        return beta(H, n, k, j)
-    raise ValueError(f"unknown grid inner product kind: {kind!r}")
 
 
 def abs_rho_power_sum(H: float, q: int, tol: float = 1e-12) -> float:
@@ -308,98 +293,95 @@ def embedding_spectrum(grid: FbmGrid) -> np.ndarray:
     return np.real(scipy.fft.fft(row))
 
 
-def _windowed_transform(stream, first_row, count, raw_len, out_len, transform) -> np.ndarray:
-    """Apply ``transform`` to fixed-shape blocks of raw normals, slice a window.
+def _sampler(grid: FbmGrid, seed: int, method: str) -> tuple[str, Iterator[np.ndarray]]:
+    """Build the sampler plan for ``(grid, method)``; return the method and its slab stream.
 
-    Raw rows are generated and transformed in blocks of ``_TRANSFORM_BLOCK``
-    rows aligned to absolute row indices, so the array shapes seen by the
-    BLAS/FFT kernels never depend on the requested window.  Kernel blocking
-    (and therefore the exact floating-point result for row i) would otherwise
-    vary with the batch size, breaking bit-reproducibility across chunkings.
+    The plan is the Cholesky factor or the clipped embedding spectrum, the
+    stream label, the raw row length and the transform.  The stream yields
+    the increments of paths 0, 1, 2, ... one transformed ``rng.SLAB_ROWS``-row
+    slab of raw normals at a time.  The transform always sees that fixed
+    shape, so the BLAS/FFT blocking (and therefore the exact floating-point
+    result for path i) never depends on how the paths are windowed.
     """
-    out = np.empty((count, out_len))
-    if count == 0:
-        return out
-    first_block = first_row // _TRANSFORM_BLOCK
-    last_block = (first_row + count - 1) // _TRANSFORM_BLOCK
-    for block in range(first_block, last_block + 1):
-        base = block * _TRANSFORM_BLOCK
-        cooked = transform(normal_rows(stream, base, _TRANSFORM_BLOCK, raw_len))
-        lo = max(first_row, base)
-        hi = min(first_row + count, base + _TRANSFORM_BLOCK)
-        out[lo - first_row : hi - first_row] = cooked[lo - base : hi - base]
+    n = grid.n
+    if method == "auto":
+        method = "cholesky" if n <= AUTO_METHOD_CUTOFF else "circulant"
+    if method == "cholesky":
+        if n > CHOLESKY_MAX_N:
+            raise ValueError(f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {n}")
+        factor_t = cholesky(grid.increment_covariance(), lower=True).T
+        label, raw_len = "fgn-cholesky", n
+        transform = lambda raw: raw @ factor_t
+    elif method == "circulant":
+        # one complex transform yields two paths
+        M = 2 * n
+        lam = embedding_spectrum(grid)
+        lam_min = float(lam.min())
+        lam_max = float(lam.max())
+        if lam_min < -EIGENVALUE_CLIP * lam_max:
+            raise ValueError(
+                "circulant embedding failed: most negative eigenvalue "
+                f"{lam_min:.6e} (max {lam_max:.6e}); use the cholesky method"
+            )
+        weights = np.sqrt(np.clip(lam, 0.0, None) / M)
+        label, raw_len = "fgn-circulant", 2 * M
+
+        def transform(raw: np.ndarray) -> np.ndarray:
+            z = raw[:, :M] + 1j * raw[:, M:]
+            spectra = weights[None, :] * z
+            transformed = scipy.fft.ifft(spectra, axis=1, workers=worker_count())
+            transformed *= M  # undo the 1/M of the inverse transform; net scale 1/sqrt(M)
+            # pair row -> [even path | odd path] -> two consecutive path rows
+            pairs = np.concatenate([transformed.real[:, :n], transformed.imag[:, :n]], axis=1)
+            return pairs.reshape(2 * len(raw), n)
+
+    else:
+        raise ValueError(f"unknown sampling method {method!r}")
+    return method, map(transform, normal_slabs(derive_seed(seed, label), raw_len))
+
+
+def _take(slabs: Iterator[np.ndarray], count: int, n: int) -> np.ndarray:
+    """The next ``count`` increment rows of a slab stream; a last slab's rest is dropped."""
+    out = np.empty((count, n))
+    filled = 0
+    while filled < count:
+        slab = next(slabs)
+        take = min(len(slab), count - filled)
+        out[filled : filled + take] = slab[:take]
+        filled += take
     return out
 
 
-def _circulant_increments(grid: FbmGrid, m: int, seed: int, first_path: int) -> np.ndarray:
-    """Circulant-embedding sampler; one complex transform yields two paths."""
-    n = grid.n
-    M = 2 * n
-    lam = embedding_spectrum(grid)
-    lam_min = float(lam.min())
-    lam_max = float(lam.max())
-    if lam_min < -EIGENVALUE_CLIP * lam_max:
-        raise ValueError(
-            "circulant embedding failed: most negative eigenvalue "
-            f"{lam_min:.6e} (max {lam_max:.6e}); use the cholesky method"
-        )
-    weights = np.sqrt(np.clip(lam, 0.0, None) / M)
-    stream = derive_seed(seed, "fgn-circulant")
-
-    if m == 0:
-        return np.empty((0, n))
-
-    def pair_transform(raw: np.ndarray) -> np.ndarray:
-        z = raw[:, :M] + 1j * raw[:, M:]
-        spectra = weights[None, :] * z
-        transformed = scipy.fft.ifft(spectra, axis=1, workers=worker_count())
-        transformed *= M  # undo the 1/M of the inverse transform; net scale 1/sqrt(M)
-        # pair row -> [even path | odd path], unpacked to consecutive rows below
-        return np.concatenate([transformed.real[:, :n], transformed.imag[:, :n]], axis=1)
-
-    first_pair = first_path // 2
-    last_pair = (first_path + m - 1) // 2
-    pair_count = last_pair - first_pair + 1
-    pairs = _windowed_transform(stream, first_pair, pair_count, 2 * M, 2 * n, pair_transform)
-    duo = pairs.reshape(2 * pair_count, n)
-    offset = first_path - 2 * first_pair
-    return np.ascontiguousarray(duo[offset : offset + m])
-
-
-def _cholesky_increments(grid: FbmGrid, m: int, seed: int, first_path: int) -> np.ndarray:
-    n = grid.n
-    if n > CHOLESKY_MAX_N:
-        raise ValueError(f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {n}")
-    factor_t = cholesky(grid.increment_covariance(), lower=True).T
-    stream = derive_seed(seed, "fgn-cholesky")
-    return _windowed_transform(stream, first_path, m, n, n, lambda raw: raw @ factor_t)
-
-
-def sample_paths(
-    grid: FbmGrid,
-    m: int,
-    seed: int,
-    method: str = "auto",
-    first_path: int = 0,
-) -> FbmPathBatch:
-    """Sample m fBm paths; path i is a deterministic function of (seed, first_path + i).
+def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmPathBatch:
+    """Sample m fBm paths; path i is a deterministic function of (seed, i).
 
     method: "cholesky" (exact, n <= 4096), "circulant" (fast, needs a
     non-negative embedding spectrum), or "auto" (cholesky up to n = 512).
-    The ``first_path`` offset addresses a window of the path sequence, so a
-    large batch may be produced in any chunking with identical results.
+    To walk a large m in bounded memory use :func:`stream_paths`, which
+    yields the same paths.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if method == "auto":
-        method = "cholesky" if grid.n <= AUTO_METHOD_CUTOFF else "circulant"
-    if method == "cholesky":
-        increments = _cholesky_increments(grid, m, seed, first_path)
-    elif method == "circulant":
-        increments = _circulant_increments(grid, m, seed, first_path)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return FbmPathBatch.from_increments(grid, increments, seed, method)
+    method, slabs = _sampler(grid, seed, method)
+    return FbmPathBatch.from_increments(grid, _take(slabs, m, grid.n), seed, method)
+
+
+def stream_paths(
+    grid: FbmGrid, m: int, seed: int, method: str = "auto"
+) -> Iterator[FbmPathBatch]:
+    """The paths of ``sample_paths(grid, m, seed, method)`` in consecutive batches.
+
+    Every batch holds ``PATH_CHUNK`` paths except possibly the last.  The
+    sampler plan is built once per stream, and not at all when m = 0.
+    """
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    if m == 0:
+        return
+    method, slabs = _sampler(grid, seed, method)
+    for start in range(0, m, PATH_CHUNK):
+        increments = _take(slabs, min(PATH_CHUNK, m - start), grid.n)
+        yield FbmPathBatch.from_increments(grid, increments, seed, method)
 
 
 # ---------------------------------------------------------------------------

@@ -61,21 +61,3 @@ def monomial_hermite_coeffs(m: int) -> np.ndarray:
     mono = np.zeros(m + 1)
     mono[m] = 1.0
     return hermite_e.poly2herme(mono)
-
-
-def hermite_ladder(qmax: int, x: np.ndarray) -> np.ndarray:
-    """All monic He_q(x) for q = 0..qmax, stacked on a new leading axis.
-
-    Uses the three-term recurrence; cheaper than repeated hermeval when a
-    whole ladder of orders is needed on the same points.
-    """
-    if qmax < 0:
-        raise ValueError(f"Hermite order must be >= 0, got {qmax}")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((qmax + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if qmax >= 1:
-        out[1] = x
-    for q in range(1, qmax):
-        out[q + 1] = x * out[q] - q * out[q - 1]
-    return out

@@ -16,8 +16,8 @@ shift at the lower critical point.  This module provides:
 - the classical Brownian example F_n = sqrt(n) int t^n W_t dW_t, whose limit
   (1/sqrt(2)) W_1 N exercises the whole stable-convergence pipeline at H=1/2.
 
-Everything is streamed in fixed-size path chunks with counter-based
-per-replica randomness, so results are independent of chunk size and
+Paths are walked with :func:`chaoslab.fbm.stream_paths`, and every replica
+draws counter-based randomness addressed by its index, so results are
 reproducible bit-for-bit.
 """
 
@@ -33,7 +33,7 @@ import scipy.fft
 from scipy.linalg import matmul_toeplitz, toeplitz
 from scipy.special import ndtr
 
-from .fbm import FbmGrid, rho, sample_paths
+from .fbm import FbmGrid, rho, stream_paths
 from .report import TestReport
 from .rng import derive_seed, normal_rows, worker_count
 from .variations import sigma_hq
@@ -54,7 +54,6 @@ __all__ = [
     "sample_mixture_limit",
 ]
 
-PATH_CHUNK = 2048
 CHAOS2_DENSE_MAX_N = 4096
 CHAOS2_MAX_N = 1 << 16
 KS_ALPHA = 0.01
@@ -109,25 +108,21 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
         raise ValueError("m must be non-negative")
     sigma = spec.resolved_sigma()
     grid = FbmGrid(spec.H, spec.n_fine)
-    z_stream = derive_seed(seed, "mixture-z")
 
-    values = np.empty(m)
     variances = np.empty(m)
     shifts = np.zeros(m)
-    for start in range(0, m, PATH_CHUNK):
-        count = min(PATH_CHUNK, m - start)
-        batch = sample_paths(grid, count, seed, first_path=start)
+    start = 0
+    for batch in stream_paths(grid, m, seed):
+        stop = start + batch.m
         levels = batch.levels_at_increment_start()
-        s2 = sigma**2 * np.mean(np.asarray(spec.weight(levels)) ** 2, axis=1)
-        z = normal_rows(z_stream, start, count, 1)[:, 0]
-        chunk_shift = 0.0
+        variances[start:stop] = sigma**2 * np.mean(np.asarray(spec.weight(levels)) ** 2, axis=1)
         if spec.shift_coefficient != 0.0:
-            chunk_shift = spec.shift_coefficient * np.mean(
+            shifts[start:stop] = spec.shift_coefficient * np.mean(
                 np.asarray(spec.weight(levels, spec.shift_order)), axis=1
             )
-            shifts[start : start + count] = chunk_shift
-        variances[start : start + count] = s2
-        values[start : start + count] = chunk_shift + np.sqrt(s2) * z
+        start = stop
+    z = normal_rows(derive_seed(seed, "mixture-z"), 0, m, 1)[:, 0]
+    values = shifts + np.sqrt(variances) * z
     return MixtureSample(values=values, conditional_variances=variances, shifts=shifts)
 
 
@@ -316,11 +311,11 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
     grid = FbmGrid(H, n)
     scale = 1.0 / math.sqrt(moments.variance * n)  # = 1/(sigma_n sqrt(n)) variance-normalizer
     values = np.empty(m)
-    for start in range(0, m, PATH_CHUNK):
-        count = min(PATH_CHUNK, m - start)
-        batch = sample_paths(grid, count, seed, first_path=start)
+    start = 0
+    for batch in stream_paths(grid, m, seed):
         x = float(n) ** H * batch.increments
-        values[start : start + count] = scale * (x * x - 1.0).sum(axis=1)
+        values[start : start + batch.m] = scale * (x * x - 1.0).sum(axis=1)
+        start += batch.m
     values.sort(kind="stable")
     gauss = ndtr(values)
     steps = np.arange(1, m + 1) / m

@@ -38,11 +38,9 @@ from .tensors import SymTensor
 class PolyTensor:
     """Tensor of PolyRV entries with slots indexed by orthonormal coordinates."""
 
-    __slots__ = ("space", "entries", "basis")
+    __slots__ = ("space", "entries")
 
-    def __init__(self, space, entries, basis: str = "onb"):
-        if basis not in ("onb", "raw"):
-            raise ValueError("basis must be 'onb' or 'raw'")
+    def __init__(self, space, entries):
         arr = np.asarray(entries, dtype=object)
         if arr.ndim == 0 and not isinstance(arr.item(), PolyRV):
             raise TypeError("entries must be PolyRV objects")
@@ -51,7 +49,6 @@ class PolyTensor:
             raise ValueError(f"entries shape {arr.shape} must be ({d},)*order")
         self.space = space
         self.entries = arr
-        self.basis = basis
 
     @property
     def order(self) -> int:
@@ -78,7 +75,7 @@ class PolyTensor:
         out = np.empty(self.entries.shape, dtype=object)
         for idx in _indices(self.entries):
             out[idx] = fn(self.entries[idx])
-        return PolyTensor(self.space, out, basis=self.basis)
+        return PolyTensor(self.space, out)
 
     def __add__(self, other: "PolyTensor") -> "PolyTensor":
         if self.entries.shape != other.entries.shape:
@@ -86,7 +83,7 @@ class PolyTensor:
         out = np.empty(self.entries.shape, dtype=object)
         for idx in _indices(self.entries):
             out[idx] = self.entries[idx] + other.entries[idx]
-        return PolyTensor(self.space, out, basis=self.basis)
+        return PolyTensor(self.space, out)
 
     def scale(self, c: float) -> "PolyTensor":
         return self.map(lambda p: p * c)
@@ -103,7 +100,7 @@ class PolyTensor:
             for perm in perms:
                 acc = acc + self.entries[tuple(idx[p] for p in perm)]
             out[idx] = acc * (1.0 / len(perms))
-        return PolyTensor(self.space, out, basis=self.basis)
+        return PolyTensor(self.space, out)
 
     def max_abs_coeff(self) -> float:
         worst = 0.0
@@ -161,7 +158,7 @@ def _derivative_once(u: PolyTensor) -> PolyTensor:
         entry = u.entries[idx]
         for a in range(d):
             out[(a,) + idx] = entry.diff(a)
-    return PolyTensor(u.space, out, basis=u.basis)
+    return PolyTensor(u.space, out)
 
 
 # -- divergence ---------------------------------------------------------------
@@ -181,8 +178,6 @@ def skorohod(u: PolyTensor | SymTensor, times: int | None = None) -> PolyRV | Po
         )
     if not isinstance(u, PolyTensor):
         raise TypeError("skorohod expects a PolyTensor")
-    if u.basis != "onb":
-        raise ValueError("non-orthonormal representation: transform first")
     q = u.order
     times = q if times is None else times
     if times < 1:

@@ -105,7 +105,7 @@ class PolyRV:
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_space(self, other: "PolyRV") -> None:
-        if self.space is not other.space and self.space.dim != other.space.dim:
+        if not self.space.same_as(other.space):
             raise ValueError("PolyRV operands live on different spaces")
 
     def __add__(self, other):

@@ -99,6 +99,10 @@ class GaussianSpace:
     def standard(cls, d: int) -> "GaussianSpace":
         return cls(np.eye(d))
 
+    def same_as(self, other: "GaussianSpace") -> bool:
+        """True when ``other`` is this space or has an equal Gram matrix."""
+        return other is self or np.array_equal(self.gram, other.gram)
+
     # -- geometry ----------------------------------------------------------
 
     def inner(self, u, v) -> float:

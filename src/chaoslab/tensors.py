@@ -1,10 +1,7 @@
 """Symmetric tensors over a Gaussian space's raw basis, and contractions.
 
 A :class:`SymTensor` of order q over a d-dimensional space stores a dense
-coefficient array indexed by {0..d−1}^q plus a symmetry flag.  Symmetric
-tensors additionally round-trip through a packed representation over
-non-decreasing multi-indices (canonical ordering with multiplicity
-bookkeeping), whose flat size is C(d+q−1, q).
+coefficient array indexed by {0..d−1}^q plus a symmetry flag.
 
 Contractions pair the *last* r slots of both tensors through the space's Gram
 matrix (not the Euclidean dot product); the result is not symmetrized unless
@@ -14,7 +11,6 @@ requested.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -62,22 +58,6 @@ class SymTensor:
         e[i] = 1.0
         return cls(space, e, symmetric=True)
 
-    @classmethod
-    def from_packed(cls, space, order: int, packed) -> "SymTensor":
-        """Inverse of :meth:`packed_coeffs` (symmetric tensors only)."""
-        packed = np.asarray(packed, dtype=float)
-        d = space.dim
-        idxs = list(itertools.combinations_with_replacement(range(d), order))
-        if packed.shape != (len(idxs),):
-            raise ValueError(
-                f"packed length {packed.shape} != C(d+q-1,q) = {len(idxs)}"
-            )
-        dense = np.zeros(_dense_shape(d, order))
-        for value, idx in zip(packed, idxs):
-            for perm in set(itertools.permutations(idx)):
-                dense[perm] = value
-        return cls(space, dense, symmetric=True)
-
     # -- symmetry ----------------------------------------------------------
 
     def _symmetry_error(self) -> float:
@@ -99,17 +79,6 @@ class SymTensor:
             acc += np.transpose(self.coeffs, perm)
         return SymTensor(self.space, acc / len(perms), symmetric=True)
 
-    def packed_coeffs(self) -> np.ndarray:
-        """Canonical non-decreasing multi-index storage; length C(d+q−1, q)."""
-        if not self.symmetric:
-            raise ValueError("packed storage is defined for symmetric tensors")
-        idxs = itertools.combinations_with_replacement(range(self.space.dim), self.order)
-        return np.array([self.coeffs[idx] for idx in idxs])
-
-    @staticmethod
-    def packed_size(dim: int, order: int) -> int:
-        return math.comb(dim + order - 1, order)
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
@@ -126,9 +95,7 @@ class SymTensor:
     __rmul__ = __mul__
 
     def _check_compatible(self, other: "SymTensor", r: int) -> None:
-        if self.space is not other.space and not np.array_equal(
-            self.space.gram, other.space.gram
-        ):
+        if not self.space.same_as(other.space):
             raise ValueError("space mismatch: tensors live over different spaces")
         if not 0 <= r <= min(self.order, other.order):
             raise ValueError(

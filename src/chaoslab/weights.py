@@ -92,10 +92,6 @@ class WeightFunction:
             value = (-math.sqrt(c)) ** order * h * np.exp(-c * x**2)
         return value if value.ndim else float(value)
 
-    def max_order(self) -> int | None:
-        """Highest available derivative order (None = unlimited)."""
-        return None
-
     def describe(self) -> str:
         if self.kind == "polynomial":
             return "poly:" + ",".join(repr(p) for p in self.params)

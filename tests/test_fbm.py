@@ -13,18 +13,21 @@ from chaoslab import (
     bounds_suite,
     cov_rh,
     eps_del,
-    grid_inner,
     load_paths,
     rho,
     sample_paths,
     save_paths,
 )
+import chaoslab.fbm
+import chaoslab.rng
 from chaoslab.fbm import (
+    PATH_CHUNK,
     abs_rho_power_sum,
     alpha_diag,
     del_norm,
     embedding_spectrum,
     signed_rho_power_sum,
+    stream_paths,
 )
 
 
@@ -106,17 +109,6 @@ def test_alpha_diag_matches_alpha():
 
 def test_del_norm_closed_form():
     assert del_norm(0.3, 64) == pytest.approx(64.0**-0.3, abs=1e-15)
-
-
-def test_grid_inner_dispatcher():
-    H, n = 0.3, 8
-    assert grid_inner(H, n, "eps_del", t=0.4, k=2) == pytest.approx(
-        eps_del(H, n, 0.4, 2), abs=1e-15
-    )
-    assert grid_inner(H, n, "alpha", k=1, j=2) == pytest.approx(alpha(H, n, 1, 2), abs=1e-15)
-    assert grid_inner(H, n, "beta", k=1, j=2) == pytest.approx(beta(H, n, 1, 2), abs=1e-15)
-    with pytest.raises(ValueError):
-        grid_inner(H, n, "gamma", k=0, j=0)
 
 
 def test_grid_index_range_errors():
@@ -208,11 +200,55 @@ def test_sample_paths_determinism_and_chunk_invariance():
     full = sample_paths(grid, 8, seed=9, method="circulant")
     again = sample_paths(grid, 8, seed=9, method="circulant")
     np.testing.assert_array_equal(full.paths, again.paths)
-    window = sample_paths(grid, 2, seed=9, method="circulant", first_path=3)
-    np.testing.assert_array_equal(window.paths, full.paths[3:5])
+    # path i does not depend on m
+    head = sample_paths(grid, 5, seed=9, method="circulant")
+    np.testing.assert_array_equal(head.paths, full.paths[:5])
     chol = sample_paths(grid, 4, seed=9, method="cholesky")
-    chol_win = sample_paths(grid, 1, seed=9, method="cholesky", first_path=2)
-    np.testing.assert_array_equal(chol_win.paths, chol.paths[2:3])
+    chol_head = sample_paths(grid, 3, seed=9, method="cholesky")
+    np.testing.assert_array_equal(chol_head.paths, chol.paths[:3])
+
+
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+def test_stream_paths_concatenate_to_sample_paths(method):
+    grid = FbmGrid(0.3, 16)
+    m = 2 * PATH_CHUNK + 3
+    batches = list(stream_paths(grid, m, 9, method))
+    assert [b.m for b in batches] == [PATH_CHUNK, PATH_CHUNK, 3]
+    assert all(b.method == method and b.seed == 9 for b in batches)
+    whole = sample_paths(grid, m, 9, method)
+    np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
+    np.testing.assert_array_equal(np.concatenate([b.paths for b in batches]), whole.paths)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("method", "plan_step"), [("cholesky", "cholesky"), ("circulant", "embedding_spectrum")]
+)
+def test_stream_builds_one_plan(monkeypatch, method, plan_step):
+    calls = _count_calls(monkeypatch, chaoslab.fbm, plan_step)
+    m = 3 * PATH_CHUNK + 1
+    assert sum(b.m for b in stream_paths(FbmGrid(0.3, 16), m, 2, method)) == m
+    assert len(calls) == 1
+    assert list(stream_paths(FbmGrid(0.3, 16), 0, 2, method)) == []
+    assert len(calls) == 1  # m = 0 builds no plan
+
+
+def test_stream_draws_each_rng_block_once(monkeypatch):
+    philox = _count_calls(monkeypatch, chaoslab.rng.np.random, "Philox")
+    # 4096 circulant paths are 2048 pair rows: four 512-row blocks
+    assert sum(b.m for b in stream_paths(FbmGrid(0.3, 1024), 4096, 1, "circulant")) == 4096
+    assert len(philox) == 4096 // 2 // chaoslab.rng.BLOCK_ROWS == 4
 
 
 def test_sample_paths_method_validation():

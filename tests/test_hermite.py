@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from chaoslab.hermite import (
     hermite_eval,
-    hermite_ladder,
     hermite_monomial_coeffs,
     monomial_hermite_coeffs,
 )
@@ -94,14 +93,6 @@ def test_hermite_monomial_known_rows():
     np.testing.assert_allclose(hermite_monomial_coeffs(2), [-1.0, 0.0, 1.0])
     np.testing.assert_allclose(hermite_monomial_coeffs(3), [0.0, -3.0, 0.0, 1.0])
     np.testing.assert_allclose(hermite_monomial_coeffs(4), [3.0, 0.0, -6.0, 0.0, 1.0])
-
-
-def test_ladder_matches_single_evaluations():
-    x = np.linspace(-2.0, 2.0, 9)
-    ladder = hermite_ladder(6, x)
-    assert ladder.shape == (7, 9)
-    for q in range(7):
-        np.testing.assert_allclose(ladder[q], hermite_eval(q, x), atol=1e-12)
 
 
 def test_gaussian_orthogonality_quadrature():

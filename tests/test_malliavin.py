@@ -94,10 +94,6 @@ def test_skorohod_rejects_raw_basis():
     space = GaussianSpace([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="orthonormal"):
         skorohod(SymTensor.basis_vector(space, 0))
-    zero = PolyRV.constant(space, 0.0)
-    raw = PolyTensor(space, [PolyRV.coordinate(space, 0), zero], basis="raw")
-    with pytest.raises(ValueError):
-        skorohod(raw)
 
 
 def test_skorohod_order_validation():

@@ -127,6 +127,18 @@ def test_wick_against_gauss_hermite_quadrature():
     assert wick_expectation(p) == pytest.approx(total, abs=1e-8)
 
 
+def test_operands_from_different_spaces_are_rejected():
+    space = GaussianSpace([[1.0, 0.6], [0.6, 1.0]])
+    other = GaussianSpace([[1.0, -0.3], [-0.3, 1.0]])
+    with pytest.raises(ValueError, match="different spaces"):
+        space.basis_rv(0) * other.basis_rv(1)
+    with pytest.raises(ValueError, match="different spaces"):
+        space.basis_rv(0) + other.basis_rv(1)
+    # a separately built space with an equal Gram matrix is the same space
+    twin = GaussianSpace([[1.0, 0.6], [0.6, 1.0]])
+    assert wick_expectation(space.basis_rv(0) * twin.basis_rv(1)) == pytest.approx(0.6, abs=1e-12)
+
+
 def test_items_iterates_sparse_terms():
     space = GaussianSpace.standard(2)
     z1 = PolyRV.coordinate(space, 0)

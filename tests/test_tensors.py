@@ -94,31 +94,6 @@ def test_symmetrize_averages_permutations():
     assert s.symmetric
 
 
-def test_packed_roundtrip_random_symmetric():
-    rng = np.random.default_rng(3)
-    for d, q in [(2, 2), (3, 3), (4, 2)]:
-        space = GaussianSpace.standard(d)
-        raw = rng.normal(size=(d,) * q)
-        t = SymTensor(space, raw).symmetrize()
-        packed = t.packed_coeffs()
-        assert packed.shape == (SymTensor.packed_size(d, q),)
-        back = SymTensor.from_packed(space, q, packed)
-        np.testing.assert_allclose(back.coeffs, t.coeffs, atol=1e-12)
-
-
-def test_packed_size_is_multiset_count():
-    assert SymTensor.packed_size(3, 2) == 6  # C(4, 2)
-    assert SymTensor.packed_size(2, 3) == 4  # C(4, 3)
-    assert SymTensor.packed_size(5, 1) == 5
-
-
-def test_packed_rejects_asymmetric():
-    space = GaussianSpace.standard(2)
-    asym = SymTensor(space, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        asym.packed_coeffs()
-
-
 def test_order_cap_enforced():
     space = GaussianSpace.standard(2)
     with pytest.raises(ValueError):
