@@ -107,9 +107,9 @@ def mixture_comparison(
     for batch in stream_paths(grid, m, seed, method):
         result = full_variation(batch, q, weight, normalization)
         statistic_chunks.append(result.renormalized)
-        levels = batch.levels_at_increment_start()
-        s2_chunks.append(sigma_sq * np.mean(weight(levels) ** 2, axis=1))
+        s2_chunks.append(sigma_sq * result.mean_square_weight)
         if shift_coefficient != 0.0:
+            levels = batch.levels_at_increment_start()
             shift_chunks.append(
                 shift_coefficient * np.mean(weight(levels, order=q), axis=1)
             )

@@ -13,6 +13,11 @@ counter-based Philox streams addressed by row blocks:
   slabs before them in the first block) and slices, so any chunking of a
   batch yields identical rows.  :func:`fbm.stream_paths` reads one
   unbounded slab stream instead, so it draws each block once.
+- :func:`map_slabs` hands the slabs of rows [0, rows) to a consumer on a pool
+  of ``min(worker_count(), blocks)`` threads, one block per task.  A block's
+  slabs come from its own generator, drawn in order on one thread, so every
+  slab holds the same numbers whatever the thread count or the order in
+  which blocks finish; consumers write disjoint rows of their outputs.
 
 Distinct consumers derive independent stream seeds from the master seed with
 :func:`derive_seed` using a string label, so adding a consumer never perturbs
@@ -24,11 +29,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-from typing import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "SLAB_ROWS", "derive_seed", "normal_rows", "normal_slabs", "worker_count"]
+__all__ = [
+    "BLOCK_ROWS",
+    "SLAB_ROWS",
+    "derive_seed",
+    "map_slabs",
+    "normal_rows",
+    "normal_slabs",
+    "worker_count",
+]
 
 BLOCK_ROWS = 512
 SLAB_ROWS = 256  # divides BLOCK_ROWS
@@ -47,6 +61,13 @@ def _stream_key(seed: int) -> int:
     return int(words[0]) | (int(words[1]) << 64)
 
 
+def _block_slabs(key: int, block: int, row_len: int) -> Iterator[np.ndarray]:
+    """The slabs of one block, drawn lazily in order by the block's own generator."""
+    gen = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
+    for _ in range(BLOCK_ROWS // SLAB_ROWS):
+        yield gen.standard_normal((SLAB_ROWS, row_len))
+
+
 def normal_slabs(seed: int, row_len: int, first_slab: int = 0) -> Iterator[np.ndarray]:
     """Consecutive ``SLAB_ROWS``-row slabs of the normal matrix, from slab ``first_slab`` on.
 
@@ -56,14 +77,43 @@ def normal_slabs(seed: int, row_len: int, first_slab: int = 0) -> Iterator[np.nd
     whole block would.  Slabs of the first block before ``first_slab`` are
     drawn and dropped.
     """
-    per_block = BLOCK_ROWS // SLAB_ROWS
-    first_block, skip = divmod(first_slab, per_block)
+    first_block, skip = divmod(first_slab, BLOCK_ROWS // SLAB_ROWS)
     key = _stream_key(seed)
     for block in itertools.count(first_block):
-        gen = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
-        slabs = (gen.standard_normal((SLAB_ROWS, row_len)) for _ in range(per_block))
-        yield from itertools.islice(slabs, skip, None)
+        yield from itertools.islice(_block_slabs(key, block, row_len), skip, None)
         skip = 0
+
+
+def map_slabs(
+    seed: int, row_len: int, rows: int, consume: Callable[[int, np.ndarray], None]
+) -> None:
+    """Call ``consume(start, slab)`` for every slab of rows [0, rows), on a thread pool.
+
+    ``slab`` holds rows [start, start + len(slab)); the last one is cut at
+    ``rows`` and slabs wholly past it are not drawn.  Each block's slabs are
+    drawn and consumed in order by one task, and the pool has
+    ``min(worker_count(), blocks)`` threads, so ``consume`` may run
+    concurrently for different blocks.  An exception raised in ``consume``
+    propagates to the caller.
+    """
+    if rows < 0 or row_len <= 0:
+        raise ValueError("need rows >= 0, row_len >= 1")
+    blocks = -(-rows // BLOCK_ROWS)
+    if blocks == 0:
+        return
+    key = _stream_key(seed)
+
+    def run(block: int) -> None:
+        start = block * BLOCK_ROWS
+        for slab in _block_slabs(key, block, row_len):
+            consume(start, slab[: rows - start])
+            start += SLAB_ROWS
+            if start >= rows:
+                return
+
+    with ThreadPoolExecutor(max_workers=min(worker_count(), blocks)) as pool:
+        for _ in pool.map(run, range(blocks)):
+            pass
 
 
 def normal_rows(seed: int, start: int, count: int, row_len: int) -> np.ndarray:
@@ -87,9 +137,12 @@ def normal_rows(seed: int, start: int, count: int, row_len: int) -> np.ndarray:
 def worker_count() -> int:
     """Parallelism cap: ``CHAOSLAB_THREADS`` if set, else the CPU count."""
     env = os.environ.get("CHAOSLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"CHAOSLAB_THREADS must be an integer, got {env!r}") from exc
-    return max(1, os.cpu_count() or 1)
+    if env is None:
+        return max(1, os.cpu_count() or 1)
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0  # reported below, like any value under 1
+    if threads < 1:
+        raise ValueError(f"CHAOSLAB_THREADS must be a positive integer, got {env!r}")
+    return threads

@@ -146,7 +146,12 @@ def sigma_hq(H: float, q: int, tol: float = 1e-10) -> SigmaHq:
 
 @dataclass(frozen=True)
 class VariationResult:
-    """Per-path variation values plus the configuration that produced them."""
+    """Per-path variation values plus the configuration that produced them.
+
+    ``mean_square_weight`` is the per-path mean of f(B_{k/n})^2 over the n
+    left endpoints, taken while G_n's weight values are at hand so that the
+    conditional variance of the limit needs no second weight evaluation.
+    """
 
     q: int
     H: float
@@ -158,6 +163,7 @@ class VariationResult:
     renormalized: np.ndarray | None = None
     regime: RegimeSpec | None = None
     components: dict[str, np.ndarray] | None = None
+    mean_square_weight: np.ndarray | None = None
     weight: str = ""
     extras: dict = field(default_factory=dict)
 
@@ -234,6 +240,7 @@ def weighted_variation(
         normalization=normalization,
         seed=batch.seed,
         gn=np.asarray(gn, dtype=float).reshape(batch.m),
+        mean_square_weight=np.mean(weights**2, axis=1),
         weight=f.describe(),
     )
 
@@ -378,6 +385,7 @@ def full_variation(
         renormalized=renormalized,
         regime=regime,
         components=components,
+        mean_square_weight=base.mean_square_weight,
         weight=base.weight,
         extras=extras,
     )

@@ -1,5 +1,6 @@
 """Mixture limit laws, distribution tests, fourth-moment bounds, Brownian example."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -394,3 +395,21 @@ def test_brownian_example_deterministic():
     b = brownian_example_run(8, 2000, seed=5, resolution=1024)
     assert a.statistic == b.statistic
     assert a.extras["ks_statistic"] == b.extras["ks_statistic"]
+
+
+# sha256 of f, inner, s2 and reference (in that order) from
+# brownian_example_run(4, 700, seed=2, resolution=1024), recorded before the
+# replica loop moved onto rng.map_slabs; m = 700 ends in a partial block and
+# a partial slab.
+BROWNIAN_PIN = "f422909eaaf64aea8f2a60a213ef4a0980c90950b47dc2424b15ae53b8c23109"
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_brownian_example_bits_pinned_at_any_thread_count(monkeypatch, threads):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    sink = {}
+    brownian_example_run(4, 700, seed=2, resolution=1024, sample_sink=sink)
+    digest = hashlib.sha256()
+    for key in ("f", "inner", "s2", "reference"):
+        digest.update(np.ascontiguousarray(sink[key]).tobytes())
+    assert digest.hexdigest() == BROWNIAN_PIN

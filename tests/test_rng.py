@@ -1,9 +1,13 @@
 """Counter-based RNG: determinism, slot addressing, and stream derivation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from chaoslab.rng import derive_seed, normal_rows, worker_count
+from chaoslab import rng
+from chaoslab.rng import SLAB_ROWS, derive_seed, map_slabs, normal_rows, worker_count
 
 
 def test_rows_are_deterministic():
@@ -60,9 +64,10 @@ def test_derive_seed_stable_and_label_sensitive():
 def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("CHAOSLAB_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("CHAOSLAB_THREADS", "not-a-number")
-    with pytest.raises(ValueError):
-        worker_count()
+    for bad in ("not-a-number", "0", "-3"):
+        monkeypatch.setenv("CHAOSLAB_THREADS", bad)
+        with pytest.raises(ValueError, match="CHAOSLAB_THREADS"):
+            worker_count()
     monkeypatch.delenv("CHAOSLAB_THREADS")
     assert worker_count() >= 1
 
@@ -75,3 +80,75 @@ def test_marginals_are_standard_normal():
     # lag-1 serial correlation within the same row ordering
     corr = float(np.corrcoef(x[:-1], x[1:])[0, 1])
     assert abs(corr) < 4.0 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("rows", [1, 255, 256, 700, 1024])
+def test_map_slabs_delivers_each_row_once_as_normal_rows(monkeypatch, threads, rows):
+    # at "3" the pool may outnumber the cores; a short switch interval interleaves blocks
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    row_len = 3
+    delivered = np.zeros(rows, dtype=int)
+    seen = []
+    lock = threading.Lock()
+
+    def consume(start, slab):
+        assert slab.shape[1] == row_len and 0 < len(slab) <= SLAB_ROWS
+        with lock:
+            delivered[start : start + len(slab)] += 1
+            seen.append((start, slab.copy()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        map_slabs(11, row_len, rows, consume)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(delivered, 1)
+    for start, slab in seen:
+        np.testing.assert_array_equal(slab, normal_rows(11, start, len(slab), row_len))
+
+
+def test_map_slabs_propagates_consumer_errors(monkeypatch):
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+
+    def consume(start, slab):
+        if start == 512:
+            raise RuntimeError("bad slab")
+
+    with pytest.raises(RuntimeError, match="bad slab"):
+        map_slabs(1, 4, 2048, consume)
+
+
+def test_map_slabs_pool_is_capped_by_block_count(monkeypatch):
+    monkeypatch.setenv("CHAOSLAB_THREADS", "16")
+    pools = []
+
+    class RecordingPool(rng.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+    before = threading.active_count()
+    counts = []
+    map_slabs(2, 4, 2 * rng.BLOCK_ROWS, lambda start, slab: counts.append(threading.active_count()))
+    assert pools == [2]
+    assert len(counts) == 4
+    assert max(counts) - before <= 2
+
+
+def test_map_slabs_zero_rows_builds_no_generator(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs.get("counter"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    delivered = []
+    map_slabs(3, 8, 0, lambda start, slab: delivered.append(start))
+    assert built == [] and delivered == []
+    map_slabs(3, 8, 1, lambda start, slab: delivered.append(start))
+    assert len(built) == 1 and delivered == [0]

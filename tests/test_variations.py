@@ -142,6 +142,14 @@ def test_weighted_variation_scaled_is_monic_over_factorial():
     np.testing.assert_allclose(scaled, monic / 6.0, atol=1e-14)
 
 
+def test_mean_square_weight_is_per_path_mean_of_f_squared():
+    f = WeightFunction.polynomial(0.5, -1.0, 0.25)
+    batch = sample_paths(FbmGrid(0.3, 32), 40, seed=4)
+    expected = np.mean(f(batch.levels_at_increment_start()) ** 2, axis=1)
+    for result in (weighted_variation(batch, 2, f), full_variation(batch, 2, f)):
+        np.testing.assert_array_equal(result.mean_square_weight, expected)
+
+
 def test_weighted_variation_validation():
     batch = sample_paths(FbmGrid(0.3, 8), 1, seed=0)
     with pytest.raises(ValueError):
