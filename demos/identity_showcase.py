@@ -15,16 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from chaoslab import (
-    GaussianSpace,
-    PolyTensor,
-    SymTensor,
-    contract,
-    derivative,
-    multiple_integral,
-    skorohod,
-    wick_expectation,
-)
 from chaoslab.identities import (
     commutation_gap,
     covariance_gap,
@@ -34,6 +24,10 @@ from chaoslab.identities import (
     product_gap,
     run_identity_suite,
 )
+from chaoslab.malliavin import PolyTensor, derivative, multiple_integral, skorohod
+from chaoslab.polyrv import wick_expectation
+from chaoslab.space import GaussianSpace
+from chaoslab.tensors import SymTensor, contract
 
 
 def main() -> None:

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from chaoslab import (
-    FbmGrid,
-    WeightFunction,
-    a_n_statistic,
-    sample_paths,
-    sigma_hq,
-)
+from chaoslab.fbm import FbmGrid, sample_paths
+from chaoslab.variations import a_n_statistic, sigma_hq
+from chaoslab.weights import WeightFunction
 
 
 def _sigma_sq(h: float) -> float:

@@ -18,8 +18,9 @@ Story line, at reduced Monte Carlo scale (~15 s):
 
 from __future__ import annotations
 
-from chaoslab import WeightFunction, classify_regime, sigma_hq
 from chaoslab.experiments import mixture_comparison
+from chaoslab.variations import classify_regime, sigma_hq
+from chaoslab.weights import WeightFunction
 
 Q = 2
 N = 1024

@@ -73,19 +73,6 @@ _DEFAULTS: dict[str, Any] = {
     "export_paths": False,
 }
 
-_FLAG_KEYS = {
-    "q",
-    "H",
-    "n",
-    "m",
-    "seed",
-    "weight",
-    "normalization",
-    "method",
-    "out",
-    "decompose",
-}
-
 
 def _parse_n_list(text: str) -> list[int]:
     try:
@@ -148,9 +135,9 @@ def _effective_config(args: argparse.Namespace) -> dict[str, Any]:
     config = dict(_DEFAULTS)
     if args.config is not None:
         config.update(_load_config_file(args.config))
-    for key in _FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
+    # every flag but the subcommand and --config overrides the config key it names
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
             config[key] = value
     config["n"] = _parse_n_list(config["n"]) if not isinstance(config["n"], list) else [
         int(v) for v in config["n"]
@@ -219,7 +206,6 @@ def _run_fbm(config: dict[str, Any]):
         batch = sample_paths(
             grid, config["m"], config["seed"], method=config["method"]
         )
-        batch.validate()
         if config["export_paths"]:
             save_paths(batch, Path(config["out"]) / "paths.fbm")
         header = ["path", "terminal_level", "increment_mean", "increment_std"]

@@ -43,7 +43,7 @@ from .limits import (
 )
 from .report import TestReport
 from .rng import derive_seed
-from .variations import classify_regime, correction_term, full_variation, sigma_hq
+from .variations import classify_regime, full_variation, sigma_hq
 from .weights import WeightFunction
 
 __all__ = ["mixture_comparison", "riemann_comparison"]
@@ -109,10 +109,7 @@ def mixture_comparison(
         statistic_chunks.append(result.renormalized)
         s2_chunks.append(sigma_sq * result.mean_square_weight)
         if shift_coefficient != 0.0:
-            levels = batch.levels_at_increment_start()
-            shift_chunks.append(
-                shift_coefficient * np.mean(weight(levels, order=q), axis=1)
-            )
+            shift_chunks.append(shift_coefficient * result.mean_weight_derivative)
     statistic = np.concatenate(statistic_chunks)
     own_s2 = np.concatenate(s2_chunks)
     own_shift = (
@@ -242,6 +239,12 @@ def riemann_comparison(
             all_n.append(np.full(batch.m, n, dtype=float))
             all_renormalized.append(renormalized)
             all_riemann.append(riemann)
+        if sq_term == 0.0:
+            raise ValueError(
+                f"the Riemann limit c_q * int f^({q})(B_s) ds is identically zero for "
+                f"weight {weight.describe()} at q={q}: f^({q}) vanishes on every sampled "
+                "path, so the relative distance to it is undefined"
+            )
         distances.append(math.sqrt(sq_diff / sq_term))
         norm_ratio_gaps.append(abs(math.sqrt(sq_stat / sq_term) - 1.0))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -223,10 +224,6 @@ class FbmGrid:
         """Level times k/n for k = 0..n."""
         return np.arange(self.n + 1) / self.n
 
-    @property
-    def increment_std(self) -> float:
-        return del_norm(self.hurst, self.n)
-
     def increment_covariance(self) -> np.ndarray:
         """Dense n x n covariance of the increments (Toeplitz in the lag)."""
         first_row = self.n ** (-2.0 * self.hurst) * np.asarray(rho(self.hurst, np.arange(self.n)))
@@ -235,44 +232,38 @@ class FbmGrid:
 
 @dataclass(frozen=True)
 class FbmPathBatch:
-    """m sampled fBm paths on a grid: levels (m, n+1) and increments (m, n)."""
+    """m sampled fBm paths on a grid, stored as their increments (m, n).
+
+    The levels ``paths`` (m, n+1) are summed from the increments on first
+    read and kept, so consumers of increments alone never build them.
+    """
 
     grid: FbmGrid
-    paths: np.ndarray
     increments: np.ndarray
     seed: int
     method: str
 
-    @classmethod
-    def from_increments(
-        cls, grid: FbmGrid, increments: np.ndarray, seed: int, method: str
-    ) -> "FbmPathBatch":
-        increments = np.ascontiguousarray(increments, dtype=float)
-        if increments.ndim != 2 or increments.shape[1] != grid.n:
-            raise ValueError(f"increments must have shape (m, {grid.n})")
-        m = increments.shape[0]
-        paths = np.zeros((m, grid.n + 1))
-        np.cumsum(increments, axis=1, out=paths[:, 1:])
-        return cls(grid=grid, paths=paths, increments=increments, seed=int(seed), method=method)
+    def __post_init__(self) -> None:
+        increments = np.ascontiguousarray(self.increments, dtype=float)
+        if increments.ndim != 2 or increments.shape[1] != self.grid.n:
+            raise ValueError(f"increments must have shape (m, {self.grid.n})")
+        object.__setattr__(self, "increments", increments)
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def m(self) -> int:
-        return self.paths.shape[0]
+        return self.increments.shape[0]
+
+    @cached_property
+    def paths(self) -> np.ndarray:
+        """Levels B_{k/n} for k = 0..n (m, n+1); B_0 = 0."""
+        levels = np.zeros((self.m, self.grid.n + 1))
+        np.cumsum(self.increments, axis=1, out=levels[:, 1:])
+        return levels
 
     def levels_at_increment_start(self) -> np.ndarray:
         """B_{k/n} for k = 0..n-1, aligned with the increments (m, n)."""
         return self.paths[:, :-1]
-
-    def validate(self, tol: float = 1e-10) -> None:
-        if self.paths.shape != (self.m, self.grid.n + 1):
-            raise ValueError("level array shape mismatch")
-        if self.m and np.any(self.paths[:, 0] != 0.0):
-            raise ValueError("paths must start at 0")
-        if self.m:
-            recon = np.cumsum(self.increments, axis=1)
-            err = float(np.max(np.abs(recon - self.paths[:, 1:])))
-            if err > tol:
-                raise ValueError(f"levels disagree with summed increments by {err:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +354,7 @@ def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmP
     if m < 0:
         raise ValueError("m must be non-negative")
     method, slabs = _sampler(grid, seed, method)
-    return FbmPathBatch.from_increments(grid, _take(slabs, m, grid.n), seed, method)
+    return FbmPathBatch(grid, _take(slabs, m, grid.n), seed, method)
 
 
 def stream_paths(
@@ -381,7 +372,7 @@ def stream_paths(
     method, slabs = _sampler(grid, seed, method)
     for start in range(0, m, PATH_CHUNK):
         increments = _take(slabs, min(PATH_CHUNK, m - start), grid.n)
-        yield FbmPathBatch.from_increments(grid, increments, seed, method)
+        yield FbmPathBatch(grid, increments, seed, method)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +410,9 @@ def load_paths(path: str | Path) -> FbmPathBatch:
         raise ValueError(f"file length {len(raw)} does not match header ({expected})")
     levels = np.frombuffer(raw, dtype="<f8", offset=8 + struct.calcsize("<QQdQ"))
     levels = levels.reshape(int(m), int(n) + 1).astype(float)
-    increments = np.diff(levels, axis=1)
-    return FbmPathBatch(
-        grid=grid, paths=levels, increments=increments, seed=int(seed), method="file"
-    )
+    batch = FbmPathBatch(grid, np.diff(levels, axis=1), seed, "file")
+    batch.__dict__["paths"] = levels  # the file's level bytes, not a re-summation
+    return batch
 
 
 # ---------------------------------------------------------------------------

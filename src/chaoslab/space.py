@@ -20,34 +20,6 @@ from .polyrv import PolyRV
 MAX_DIMENSION = 64
 
 
-class HilbertVec:
-    """Coordinates of a space element in the raw basis (thin ndarray wrapper)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("HilbertVec needs a 1-D coefficient vector")
-        self.coeffs = arr
-
-    def __len__(self):
-        return self.coeffs.shape[0]
-
-    def __repr__(self):
-        return f"HilbertVec({self.coeffs!r})"
-
-
-def as_coeffs(u) -> np.ndarray:
-    """Accept HilbertVec or array-like; return the raw coefficient vector."""
-    if isinstance(u, HilbertVec):
-        return u.coeffs
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D coefficient vector")
-    return arr
-
-
 def _pivoted_cholesky(gram: np.ndarray, tol_scale: float = 1e-12) -> tuple[np.ndarray, int]:
     """Return (M, rank) with M·Mᵀ = gram, M of shape (d, d), zero beyond rank."""
     d = gram.shape[0]
@@ -105,24 +77,25 @@ class GaussianSpace:
 
     # -- geometry ----------------------------------------------------------
 
-    def inner(self, u, v) -> float:
-        uc, vc = as_coeffs(u), as_coeffs(v)
-        if uc.shape != (self.dim,) or vc.shape != (self.dim,):
+    def _coeffs(self, u) -> np.ndarray:
+        """A raw-basis coefficient vector of this space as a float array."""
+        arr = np.asarray(u, dtype=float)
+        if arr.shape != (self.dim,):
             raise ValueError(
-                f"dimension mismatch: space has d={self.dim}, "
-                f"got vectors of length {uc.shape[0]} and {vc.shape[0]}"
+                f"dimension mismatch: space has d={self.dim}, got a vector of shape {arr.shape}"
             )
-        return float(uc @ self.gram @ vc)
+        return arr
+
+    def inner(self, u, v) -> float:
+        """<u, v> = u^T gram v for raw-basis coefficient vectors."""
+        return float(self._coeffs(u) @ self.gram @ self._coeffs(v))
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
     def onb_coords(self, u) -> np.ndarray:
         """Orthonormal coordinates of a raw vector: w = u @ onb_transform."""
-        uc = as_coeffs(u)
-        if uc.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: expected length {self.dim}")
-        return uc @ self.onb_transform
+        return self._coeffs(u) @ self.onb_transform
 
     def check_onb(self, tol: float = 1e-10) -> float:
         """Max-norm error of M·Mᵀ − gram; raises if above tol (scaled)."""
@@ -159,8 +132,3 @@ class GaussianSpace:
 
     def __repr__(self):
         return f"GaussianSpace(dim={self.dim}, rank={self.rank})"
-
-
-def inner_product(space: GaussianSpace, u, v) -> float:
-    """⟨u, v⟩ = uᵀ·gram·v for raw-basis coefficient vectors."""
-    return space.inner(u, v)

@@ -20,7 +20,7 @@ Everything else here is exact structure around G_n:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "VariationResult",
     "a_n_statistic",
     "classify_regime",
-    "correction_term",
     "decompose_gn",
     "full_variation",
     "sigma_hq",
@@ -151,6 +150,8 @@ class VariationResult:
     ``mean_square_weight`` is the per-path mean of f(B_{k/n})^2 over the n
     left endpoints, taken while G_n's weight values are at hand so that the
     conditional variance of the limit needs no second weight evaluation.
+    ``mean_weight_derivative`` is the per-path mean of f^(q)(B_{k/n}), taken
+    with the correction term, for the shift at the lower critical point.
     """
 
     q: int
@@ -164,6 +165,7 @@ class VariationResult:
     regime: RegimeSpec | None = None
     components: dict[str, np.ndarray] | None = None
     mean_square_weight: np.ndarray | None = None
+    mean_weight_derivative: np.ndarray | None = None
     weight: str = ""
     extras: dict = field(default_factory=dict)
 
@@ -245,13 +247,11 @@ def weighted_variation(
     )
 
 
-def correction_term(
-    batch: FbmPathBatch,
-    q: int,
-    f: WeightFunction,
-    normalization: str = "monic",
-) -> np.ndarray:
-    """The q-th-derivative compensator c_q n^{-1/2-qH} sum_k f^(q)(B_{k/n}).
+def _correction(
+    batch: FbmPathBatch, q: int, f: WeightFunction, normalization: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The q-th-derivative compensator c_q n^{-1/2-qH} sum_k f^(q)(B_{k/n}), and
+    the per-path mean of f^(q)(B_{k/n}), from one evaluation of f^(q).
 
     c_q = (-1)^q / 2^q under monic normalization, divided by q! under scaled.
     """
@@ -260,9 +260,10 @@ def correction_term(
     c_q = (-1.0) ** q / 2.0**q
     if normalization == "scaled":
         c_q /= math.factorial(q)
-    deriv = _weight_values(batch, f, q)
+    deriv_sums = _weight_values(batch, f, q).sum(axis=1)
     scale = c_q * float(grid.n) ** (-0.5 - q * grid.hurst)
-    return np.asarray(scale * deriv.sum(axis=1), dtype=float).reshape(batch.m)
+    # sum / n is what np.mean(f^(q), axis=1) computes, bit for bit
+    return scale * deriv_sums, deriv_sums / grid.n
 
 
 def skorohod_weighted_closed_form(level, increment, alpha: float, del_norm: float, q: int, f: WeightFunction, r: int):
@@ -361,7 +362,7 @@ def full_variation(
 ) -> VariationResult:
     """G_n plus correction, regime renormalization, and optional decomposition."""
     base = weighted_variation(batch, q, f, normalization)
-    correction = correction_term(batch, q, f, normalization)
+    correction, mean_weight_derivative = _correction(batch, q, f, normalization)
     extras: dict = {}
     regime = None
     renormalized = None
@@ -374,19 +375,13 @@ def full_variation(
         components = decompose_gn(batch, q, f, normalization)
         residual = base.gn - sum(components.values())
         extras["max_residual"] = float(np.max(np.abs(residual))) if base.m else 0.0
-    return VariationResult(
-        q=base.q,
-        H=base.H,
-        n=base.n,
-        normalization=normalization,
-        seed=base.seed,
-        gn=base.gn,
+    return replace(
+        base,
         correction=correction,
         renormalized=renormalized,
         regime=regime,
         components=components,
-        mean_square_weight=base.mean_square_weight,
-        weight=base.weight,
+        mean_weight_derivative=mean_weight_derivative,
         extras=extras,
     )
 

@@ -21,7 +21,6 @@ import time
 import numpy as np
 import pytest
 
-from chaoslab import GaussianSpace, PolyRV, PolyTensor, SymTensor, skorohod
 from chaoslab.experiments import mixture_comparison, riemann_comparison
 from chaoslab.fbm import FbmGrid, alpha_diag, bounds_suite, del_norm, sample_paths
 from chaoslab.identities import run_identity_suite
@@ -30,7 +29,11 @@ from chaoslab.limits import (
     brownian_example_run,
     chaos2_fourth_moment_exact,
 )
+from chaoslab.malliavin import PolyTensor, skorohod
+from chaoslab.polyrv import PolyRV
 from chaoslab.report import canonical_json, without_meta
+from chaoslab.space import GaussianSpace
+from chaoslab.tensors import SymTensor
 from chaoslab.variations import (
     decompose_gn,
     skorohod_weighted_closed_form,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from chaoslab import WeightFunction, mixture_comparison, riemann_comparison
+from chaoslab.experiments import mixture_comparison, riemann_comparison
+from chaoslab.fbm import PATH_CHUNK, FbmGrid, sample_paths
+from chaoslab.weights import WeightFunction
 
 COS = WeightFunction.cosine(1.0, 1.0)
 X4 = WeightFunction.polynomial(0.0, 0.0, 0.0, 0.0, 1.0)
@@ -27,6 +29,24 @@ def test_mixture_comparison_critical_lower_sets_shift():
     assert report.extras["regime"] == "critical_lower"
     assert report.extras["shift_coefficient"] == pytest.approx(0.25)
     assert float(np.std(arrays["own_shift"])) > 0
+
+
+def test_critical_lower_shift_reuses_the_correction_derivative(monkeypatch):
+    calls = []
+    original = WeightFunction.__call__
+
+    def counting(self, x, order=0):
+        calls.append((np.shape(x), order))
+        return original(self, x, order)
+
+    monkeypatch.setattr(WeightFunction, "__call__", counting)
+    m, n = PATH_CHUNK + 5, 256  # two statistic batches
+    _, arrays = mixture_comparison(2, 0.25, COS, n, m, seed=2, n_fine=1024)
+    # one f'' evaluation per statistic batch (the reference paths have n_fine columns)
+    assert [shape[0] for shape, order in calls if order == 2 and shape[1] == n] == [PATH_CHUNK, 5]
+    monkeypatch.undo()
+    levels = sample_paths(FbmGrid(0.25, n), m, 2, "circulant").levels_at_increment_start()
+    np.testing.assert_array_equal(arrays["own_shift"], 0.25 * np.mean(COS(levels, 2), axis=1))
 
 
 def test_mixture_comparison_is_deterministic():
@@ -72,7 +92,7 @@ def test_mixture_comparison_scaled_consistent_passes():
     assert report.passed
     assert "-mismatched" not in report.name
     # sigma^2 under scaled normalization is the monic one divided by (q!)^2
-    from chaoslab import sigma_hq
+    from chaoslab.variations import sigma_hq
 
     assert report.extras["sigma_sq"] == pytest.approx(
         sigma_hq(0.3, 2).sigma_sq / 4.0, rel=1e-12
@@ -114,6 +134,12 @@ def test_riemann_comparison_determinism():
     b, _ = riemann_comparison(2, 0.1, X4, (64, 256), 200, seed=11)
     assert a.statistic == b.statistic
     assert a.extras["distances"] == b.extras["distances"]
+
+
+def test_riemann_comparison_rejects_identically_zero_limit():
+    # f = 1 has f'' = 0: the Riemann term, which each distance is relative to, vanishes
+    with pytest.raises(ValueError, match="identically zero"):
+        riemann_comparison(2, 0.2, WeightFunction.polynomial(1.0), (16, 32), 8, seed=0)
 
 
 def test_riemann_comparison_validation():

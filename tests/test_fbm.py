@@ -5,27 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import (
+import chaoslab.fbm
+import chaoslab.rng
+from chaoslab.fbm import (
     FbmGrid,
     FbmPathBatch,
+    PATH_CHUNK,
+    abs_rho_power_sum,
     alpha,
+    alpha_diag,
     beta,
     bounds_suite,
     cov_rh,
+    del_norm,
+    embedding_spectrum,
     eps_del,
     load_paths,
     rho,
     sample_paths,
     save_paths,
-)
-import chaoslab.fbm
-import chaoslab.rng
-from chaoslab.fbm import (
-    PATH_CHUNK,
-    abs_rho_power_sum,
-    alpha_diag,
-    del_norm,
-    embedding_spectrum,
     signed_rho_power_sum,
     stream_paths,
 )
@@ -143,7 +141,6 @@ def test_grid_validation_and_times():
         FbmGrid(1.2, 4)
     grid = FbmGrid(0.3, 4)
     np.testing.assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert grid.increment_std == pytest.approx(4.0**-0.3)
 
 
 def test_increment_covariance_matrix():
@@ -181,7 +178,6 @@ def test_sample_paths_basic_shape_and_validation():
     assert batch.paths.shape == (5, 17)
     assert batch.increments.shape == (5, 16)
     assert np.all(batch.paths[:, 0] == 0.0)
-    batch.validate()
     assert batch.m == 5
     np.testing.assert_allclose(
         batch.levels_at_increment_start(), batch.paths[:, :-1], atol=0
@@ -192,7 +188,6 @@ def test_sample_paths_empty_batch():
     batch = sample_paths(FbmGrid(0.4, 8), 0, seed=3)
     assert batch.m == 0
     assert batch.paths.shape == (0, 9)
-    batch.validate()
 
 
 def test_sample_paths_determinism_and_chunk_invariance():
@@ -288,24 +283,19 @@ def test_methods_agree_statistically_on_lag_one_correlation():
         assert emp == pytest.approx(rho_target, abs=4.0 / math.sqrt(8000 * 63))
 
 
-def test_from_increments_rejects_bad_shape():
+def test_batch_rejects_bad_increment_shape():
     grid = FbmGrid(0.3, 4)
     with pytest.raises(ValueError):
-        FbmPathBatch.from_increments(grid, np.zeros((2, 5)), seed=0, method="synthetic")
+        FbmPathBatch(grid, np.zeros((2, 5)), seed=0, method="synthetic")
 
 
-def test_validate_detects_corruption():
-    grid = FbmGrid(0.3, 4)
-    batch = sample_paths(grid, 2, seed=0)
-    bad = FbmPathBatch(
-        grid=grid,
-        paths=batch.paths + 0.5,
-        increments=batch.increments,
-        seed=0,
-        method="circulant",
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+def test_levels_are_the_zero_padded_cumsum_of_increments(method):
+    batch = sample_paths(FbmGrid(0.3, 16), 5, seed=4, method=method)
+    assert np.all(batch.paths[:, 0] == 0.0)
+    expected = np.concatenate([np.zeros((5, 1)), np.cumsum(batch.increments, axis=1)], axis=1)
+    np.testing.assert_array_equal(batch.paths, expected)
+    assert batch.paths is batch.paths  # summed once, then kept
 
 
 # -- file format ---------------------------------------------------------------
@@ -322,7 +312,7 @@ def test_save_load_roundtrip(tmp_path):
     assert back.grid.n == 16
     assert back.seed == 21
     assert back.method == "file"
-    back.validate()
+    np.testing.assert_array_equal(back.increments, np.diff(batch.paths, axis=1))
 
 
 def test_load_rejects_bad_magic(tmp_path):

@@ -3,14 +3,6 @@
 import numpy as np
 import pytest
 
-from chaoslab import (
-    GaussianSpace,
-    PolyRV,
-    PolyTensor,
-    SymTensor,
-    run_identity_suite,
-    wick_expectation,
-)
 from chaoslab.identities import (
     commutation_gap,
     covariance_gap,
@@ -18,8 +10,12 @@ from chaoslab.identities import (
     generator_gap,
     isometry_gap,
     product_gap,
+    run_identity_suite,
 )
-from chaoslab.malliavin import skorohod
+from chaoslab.malliavin import PolyTensor, skorohod
+from chaoslab.polyrv import PolyRV, wick_expectation
+from chaoslab.space import GaussianSpace
+from chaoslab.tensors import SymTensor
 
 
 def test_suite_all_identities_pass():

@@ -6,22 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import (
+from chaoslab.limits import (
     MixtureSpec,
-    WeightFunction,
     berry_esseen_check,
+    berry_esseen_coefficient,
     brownian_example_run,
     chaos2_fourth_moment_exact,
     conditional_cf_test,
-    ks_two_sample,
-    sample_mixture_limit,
-    sigma_hq,
-)
-from chaoslab.limits import (
-    berry_esseen_coefficient,
     kolmogorov_pvalue,
     ks_critical_value,
+    ks_two_sample,
+    sample_mixture_limit,
 )
+from chaoslab.variations import sigma_hq
+from chaoslab.weights import WeightFunction
 
 ONE = WeightFunction.constant()
 
@@ -270,8 +268,10 @@ def test_chaos2_h_half_any_n_closed_form():
 
 def test_chaos2_against_wick_oracle():
     # exact small-n moments from the finite Gaussian-space machinery
-    from chaoslab import FbmGrid, GaussianSpace, hermite_eval, wick_expectation
-    from chaoslab.polyrv import PolyRV
+    from chaoslab.fbm import FbmGrid
+    from chaoslab.hermite import hermite_eval
+    from chaoslab.polyrv import PolyRV, wick_expectation
+    from chaoslab.space import GaussianSpace
 
     for H, n in ((0.3, 2), (0.3, 4), (0.45, 3), (0.6, 4)):
         grid = FbmGrid(H, n)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab import GaussianSpace, PolyRV, wick_expectation
+from chaoslab.polyrv import PolyRV, wick_expectation
+from chaoslab.space import GaussianSpace
 
 
 def test_standard_gaussian_moments():

@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from chaoslab import TestReport, canonical_json, report_payload, without_meta
-from chaoslab.report import version_string, write_json
+from chaoslab.report import (
+    TestReport,
+    canonical_json,
+    report_payload,
+    version_string,
+    without_meta,
+    write_json,
+)
 
 
 def test_verdict_threshold_semantics():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import GaussianSpace, SymTensor, contract
+from chaoslab.space import GaussianSpace
+from chaoslab.tensors import SymTensor, contract
 
 
 def _basis_tensor(space, *indices):

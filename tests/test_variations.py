@@ -5,27 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab import (
-    FbmGrid,
-    FbmPathBatch,
-    GaussianSpace,
-    PolyRV,
-    SymTensor,
-    WeightFunction,
+from chaoslab.fbm import FbmGrid, FbmPathBatch, alpha_diag, del_norm, sample_paths
+from chaoslab.malliavin import multiple_integral
+from chaoslab.polyrv import PolyRV, wick_expectation
+from chaoslab.space import GaussianSpace
+from chaoslab.tensors import SymTensor
+from chaoslab.variations import (
+    VariationResult,
     a_n_statistic,
     classify_regime,
-    correction_term,
     decompose_gn,
     full_variation,
-    multiple_integral,
-    sample_paths,
     sigma_hq,
     skorohod_weighted_closed_form,
     weighted_variation,
-    wick_expectation,
 )
-from chaoslab.fbm import alpha_diag, del_norm
-from chaoslab.variations import VariationResult
+from chaoslab.weights import WeightFunction
 
 ONE = WeightFunction.constant()
 
@@ -99,9 +94,7 @@ def test_sigma_hq_divergence_error():
 
 def _synthetic_batch(H, n, increments):
     grid = FbmGrid(H, n)
-    return FbmPathBatch.from_increments(
-        grid, np.asarray(increments, dtype=float), seed=0, method="synthetic"
-    )
+    return FbmPathBatch(grid, np.asarray(increments, dtype=float), seed=0, method="synthetic")
 
 
 def test_weighted_variation_constant_weight_h_half_moments():
@@ -150,6 +143,14 @@ def test_mean_square_weight_is_per_path_mean_of_f_squared():
         np.testing.assert_array_equal(result.mean_square_weight, expected)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_mean_weight_derivative_is_per_path_mean_of_f_q(q):
+    f = WeightFunction.cosine(1.3, 0.7)
+    batch = sample_paths(FbmGrid(0.3, 1000), 40, seed=4)
+    expected = np.mean(f(batch.levels_at_increment_start(), q), axis=1)
+    np.testing.assert_array_equal(full_variation(batch, q, f).mean_weight_derivative, expected)
+
+
 def test_weighted_variation_validation():
     batch = sample_paths(FbmGrid(0.3, 8), 1, seed=0)
     with pytest.raises(ValueError):
@@ -158,32 +159,36 @@ def test_weighted_variation_validation():
         weighted_variation(batch, 2, ONE, normalization="probabilist")
 
 
+def _correction(batch, q, f, normalization="monic"):
+    return full_variation(batch, q, f, normalization).correction
+
+
 def test_correction_term_closed_forms():
     n = 64
     batch = sample_paths(FbmGrid(0.3, n), 5, seed=7)
     # linear weight: f'' = 0 at q = 2, so no correction
     np.testing.assert_allclose(
-        correction_term(batch, 2, WeightFunction.polynomial(0.0, 1.0)),
+        _correction(batch, 2, WeightFunction.polynomial(0.0, 1.0)),
         np.zeros(5),
         atol=0,
     )
     # f = x^2, q = 2: c_2 f'' = (1/4)*2 = 1/2 per increment, summed over n
     expected = 0.5 * n ** (0.5 - 2 * 0.3)
     np.testing.assert_allclose(
-        correction_term(batch, 2, WeightFunction.polynomial(0.0, 0.0, 1.0)),
+        _correction(batch, 2, WeightFunction.polynomial(0.0, 0.0, 1.0)),
         expected * np.ones(5),
         atol=1e-12,
     )
     # q = 3: c_3 = -1/8; f = x^3 has constant third derivative 6
     expected3 = -(1.0 / 8.0) * 6.0 * n ** (0.5 - 3 * 0.3)
     np.testing.assert_allclose(
-        correction_term(batch, 3, WeightFunction.polynomial(0.0, 0.0, 0.0, 1.0)),
+        _correction(batch, 3, WeightFunction.polynomial(0.0, 0.0, 0.0, 1.0)),
         expected3 * np.ones(5),
         atol=1e-12,
     )
     # scaled normalization divides by q!
     np.testing.assert_allclose(
-        correction_term(batch, 3, WeightFunction.polynomial(0.0, 0.0, 0.0, 1.0), "scaled"),
+        _correction(batch, 3, WeightFunction.polynomial(0.0, 0.0, 0.0, 1.0), "scaled"),
         expected3 / 6.0 * np.ones(5),
         atol=1e-12,
     )
@@ -234,7 +239,7 @@ def test_closed_form_matches_exact_skorohod_oracle():
     # divergence: the grid increments are a Gaussian space; f(B_a) del^{(x)p}
     # is a polynomial field; iterated divergence is computed symbolically and
     # evaluated at concrete increments.
-    from chaoslab import PolyTensor, skorohod
+    from chaoslab.malliavin import PolyTensor, skorohod
 
     H, n = 0.3, 3
     grid = FbmGrid(H, n)
@@ -402,7 +407,7 @@ def test_a_n_direct_band_matches_fft_route():
         batch = sample_paths(FbmGrid(H, n), 2, seed=29)
         f = WeightFunction.polynomial(0.0, 1.0)
         values = a_n_statistic(batch, 2, f)
-        from chaoslab import rho as rho_fn
+        from chaoslab.fbm import rho as rho_fn
 
         levels = batch.levels_at_increment_start()
         for i in range(2):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chaoslab import WeightFunction, parse_weight
+from chaoslab.weights import WeightFunction, parse_weight
 
 
 def _finite_diff(f, x, order, h=1e-5):
