@@ -21,7 +21,8 @@ Two pipelines are provided, both fully determined by ``(seed, m, parameters)``:
     sizes and ends below a target.
 
 Both return ``(TestReport, arrays)`` where ``arrays`` holds the per-replica
-columns used for CSV export.
+columns used for CSV export.  Both reduce their fBm paths in consumers of
+:func:`chaoslab.fbm.map_paths` that fill those columns, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import time
 
 import numpy as np
 
-from .fbm import FbmGrid, stream_paths
+from .fbm import FbmGrid, FbmPathBatch, map_paths
 from .limits import (
     KS_ALPHA,
     CF_THRESHOLD,
@@ -47,6 +48,10 @@ from .variations import classify_regime, full_variation, sigma_hq
 from .weights import WeightFunction
 
 __all__ = ["mixture_comparison", "riemann_comparison"]
+
+# riemann_comparison sums its squared terms per slice of this many paths, in
+# index order; that order fixes the report's digits
+PATH_CHUNK = 2048
 
 
 def _constant_scale(normalization: str, q: int) -> float:
@@ -100,21 +105,17 @@ def mixture_comparison(
     if regime.label == "critical_lower":
         shift_coefficient = (-1.0) ** q / 2.0**q / const_scale
 
-    grid = FbmGrid(hurst=H, n=n)
-    statistic_chunks: list[np.ndarray] = []
-    s2_chunks: list[np.ndarray] = []
-    shift_chunks: list[np.ndarray] = []
-    for batch in stream_paths(grid, m, seed, method):
+    statistic, own_s2, own_shift = np.empty(m), np.empty(m), np.zeros(m)
+
+    def consume(start: int, batch: FbmPathBatch) -> None:
+        rows = slice(start, start + batch.m)
         result = full_variation(batch, q, weight, normalization)
-        statistic_chunks.append(result.renormalized)
-        s2_chunks.append(sigma_sq * result.mean_square_weight)
+        statistic[rows] = result.renormalized
+        own_s2[rows] = sigma_sq * result.mean_square_weight
         if shift_coefficient != 0.0:
-            shift_chunks.append(shift_coefficient * result.mean_weight_derivative)
-    statistic = np.concatenate(statistic_chunks)
-    own_s2 = np.concatenate(s2_chunks)
-    own_shift = (
-        np.concatenate(shift_chunks) if shift_chunks else np.zeros_like(statistic)
-    )
+            own_shift[rows] = shift_coefficient * result.mean_weight_derivative
+
+    map_paths(FbmGrid(hurst=H, n=n), m, seed, consume, method)
 
     spec = MixtureSpec(
         q=q,
@@ -220,25 +221,27 @@ def riemann_comparison(
 
     distances: list[float] = []
     norm_ratio_gaps: list[float] = []
-    all_n: list[np.ndarray] = []
     all_renormalized: list[np.ndarray] = []
     all_riemann: list[np.ndarray] = []
     for n in n_values:
-        grid = FbmGrid(hurst=H, n=n)
         factor = regime.renormalization_factor(n)
-        sq_diff = 0.0
-        sq_term = 0.0
-        sq_stat = 0.0
-        for batch in stream_paths(grid, m, seed, method):
+        renormalized, riemann = np.empty(m), np.empty(m)
+
+        def consume(start: int, batch: FbmPathBatch) -> None:
+            rows = slice(start, start + batch.m)
             result = full_variation(batch, q, weight, normalization)
-            renormalized = factor * result.gn
-            riemann = factor * result.correction
-            sq_diff += float(np.sum((renormalized - riemann) ** 2))
-            sq_term += float(np.sum(riemann**2))
-            sq_stat += float(np.sum(renormalized**2))
-            all_n.append(np.full(batch.m, n, dtype=float))
-            all_renormalized.append(renormalized)
-            all_riemann.append(riemann)
+            renormalized[rows] = factor * result.gn
+            riemann[rows] = factor * result.correction
+
+        map_paths(FbmGrid(hurst=H, n=n), m, seed, consume, method)
+        all_renormalized.append(renormalized)
+        all_riemann.append(riemann)
+        sq_diff = sq_term = sq_stat = 0.0
+        for lo in range(0, m, PATH_CHUNK):
+            ren, rie = renormalized[lo : lo + PATH_CHUNK], riemann[lo : lo + PATH_CHUNK]
+            sq_diff += float(np.sum((ren - rie) ** 2))
+            sq_term += float(np.sum(rie**2))
+            sq_stat += float(np.sum(ren**2))
         if sq_term == 0.0:
             raise ValueError(
                 f"the Riemann limit c_q * int f^({q})(B_s) ds is identically zero for "
@@ -268,7 +271,7 @@ def riemann_comparison(
         meta={"runtime_seconds": time.perf_counter() - start_time},
     )
     arrays = {
-        "n": np.concatenate(all_n),
+        "n": np.repeat(np.asarray(n_values, dtype=float), m),
         "renormalized": np.concatenate(all_renormalized),
         "riemann_term": np.concatenate(all_riemann),
     }

@@ -8,9 +8,11 @@ elements of the Cameron–Martin-type Hilbert space (``eps_del``, ``alpha``,
 Sampling side: exact Gaussian sampling of increments, either by Cholesky
 factorization of the covariance (small n) or by circulant embedding of the
 stationary autocovariance (large n), with counter-based per-path randomness so
-that path i is a function of (seed, i) only.  ``stream_paths`` is the one loop
-that walks a large path sequence in ``PATH_CHUNK``-path batches; it builds
-the sampler plan for ``(grid, method)`` once and draws each RNG block once.
+that path i is a function of (seed, i) only.  ``map_paths`` is the one path
+loop: it builds the sampler plan for ``(grid, method)`` once, then draws,
+transforms and hands over the paths of one RNG slab at a time on the block
+pool of ``rng.map_slabs``, each block drawn once.  ``sample_paths`` is its
+consumer that fills one array.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -24,20 +26,19 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import scipy.fft
 from scipy.linalg import cholesky, toeplitz
 
 from .report import TestReport
-from .rng import derive_seed, normal_slabs, worker_count
+from .rng import SLAB_ROWS, derive_seed, map_slabs
 from .rng import normal_rows  # noqa: F401  (bound here for perfbench's tracer test)
 
 __all__ = [
     "FbmGrid",
     "FbmPathBatch",
-    "PATH_CHUNK",
     "abs_rho_power_sum",
     "alpha",
     "alpha_diag",
@@ -48,19 +49,15 @@ __all__ = [
     "embedding_spectrum",
     "eps_del",
     "load_paths",
+    "map_paths",
     "rho",
     "sample_paths",
     "save_paths",
-    "stream_paths",
 ]
 
 CHOLESKY_MAX_N = 4096
 AUTO_METHOD_CUTOFF = 512
 EIGENVALUE_CLIP = 1e-8
-# Paths per batch of stream_paths; a multiple of the paths in one increment
-# slab (rng.SLAB_ROWS for cholesky, twice that for circulant), so no slab is
-# split between batches.
-PATH_CHUNK = 2048
 _MAGIC = b"FBMPATH1"
 
 
@@ -284,63 +281,89 @@ def embedding_spectrum(grid: FbmGrid) -> np.ndarray:
     return np.real(scipy.fft.fft(row))
 
 
-def _sampler(grid: FbmGrid, seed: int, method: str) -> tuple[str, Iterator[np.ndarray]]:
-    """Build the sampler plan for ``(grid, method)``; return the method and its slab stream.
+def _resolve_method(grid: FbmGrid, method: str) -> str:
+    """The sampler ``method`` names for ``grid``: "auto" resolved, and checked."""
+    if method == "auto":
+        return "cholesky" if grid.n <= AUTO_METHOD_CUTOFF else "circulant"
+    if method not in ("cholesky", "circulant"):
+        raise ValueError(f"unknown sampling method {method!r}")
+    if method == "cholesky" and grid.n > CHOLESKY_MAX_N:
+        raise ValueError(f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {grid.n}")
+    return method
 
-    The plan is the Cholesky factor or the clipped embedding spectrum, the
-    stream label, the raw row length and the transform.  The stream yields
-    the increments of paths 0, 1, 2, ... one transformed ``rng.SLAB_ROWS``-row
-    slab of raw normals at a time.  The transform always sees that fixed
-    shape, so the BLAS/FFT blocking (and therefore the exact floating-point
-    result for path i) never depends on how the paths are windowed.
+
+class _Plan(NamedTuple):
+    method: str
+    label: str  # RNG stream label
+    raw_len: int  # normals per raw row
+    paths_per_row: int
+    max_threads: int | None  # cap on the block pool
+    transform: Callable[[np.ndarray], np.ndarray]
+
+
+def _sampler(grid: FbmGrid, method: str) -> _Plan:
+    """Build the sampler plan for ``(grid, method)``: the Cholesky factor or the
+    clipped embedding spectrum, and the transform from raw normals to increments.
+
+    The transform always sees a full ``rng.SLAB_ROWS`` slab, so the BLAS/FFT
+    blocking (and therefore the exact floating-point result for path i) never
+    depends on m.  A Cholesky plan runs on a one-thread pool: its GEMM already
+    uses the BLAS threads, and two GEMMs at once run slower.  A circulant plan
+    runs one single-threaded FFT per pool thread.
     """
     n = grid.n
-    if method == "auto":
-        method = "cholesky" if n <= AUTO_METHOD_CUTOFF else "circulant"
+    method = _resolve_method(grid, method)
     if method == "cholesky":
-        if n > CHOLESKY_MAX_N:
-            raise ValueError(f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {n}")
         factor_t = cholesky(grid.increment_covariance(), lower=True).T
-        label, raw_len = "fgn-cholesky", n
-        transform = lambda raw: raw @ factor_t
-    elif method == "circulant":
-        # one complex transform yields two paths
-        M = 2 * n
-        lam = embedding_spectrum(grid)
-        lam_min = float(lam.min())
-        lam_max = float(lam.max())
-        if lam_min < -EIGENVALUE_CLIP * lam_max:
-            raise ValueError(
-                "circulant embedding failed: most negative eigenvalue "
-                f"{lam_min:.6e} (max {lam_max:.6e}); use the cholesky method"
-            )
-        weights = np.sqrt(np.clip(lam, 0.0, None) / M)
-        label, raw_len = "fgn-circulant", 2 * M
+        return _Plan(method, "fgn-cholesky", n, 1, 1, lambda raw: raw @ factor_t)
+    # one complex transform yields two paths
+    M = 2 * n
+    lam = embedding_spectrum(grid)
+    lam_min, lam_max = float(lam.min()), float(lam.max())
+    if lam_min < -EIGENVALUE_CLIP * lam_max:
+        raise ValueError(
+            "circulant embedding failed: most negative eigenvalue "
+            f"{lam_min:.6e} (max {lam_max:.6e}); use the cholesky method"
+        )
+    weights = np.sqrt(np.clip(lam, 0.0, None) / M)
 
-        def transform(raw: np.ndarray) -> np.ndarray:
-            z = raw[:, :M] + 1j * raw[:, M:]
-            spectra = weights[None, :] * z
-            transformed = scipy.fft.ifft(spectra, axis=1, workers=worker_count())
-            transformed *= M  # undo the 1/M of the inverse transform; net scale 1/sqrt(M)
-            # pair row -> [even path | odd path] -> two consecutive path rows
-            pairs = np.concatenate([transformed.real[:, :n], transformed.imag[:, :n]], axis=1)
-            return pairs.reshape(2 * len(raw), n)
+    def transform(raw: np.ndarray) -> np.ndarray:
+        z = raw[:, :M] + 1j * raw[:, M:]
+        spectra = weights[None, :] * z
+        transformed = scipy.fft.ifft(spectra, axis=1, workers=1)
+        transformed *= M  # undo the 1/M of the inverse transform; net scale 1/sqrt(M)
+        # pair row -> [even path | odd path] -> two consecutive path rows
+        pairs = np.concatenate([transformed.real[:, :n], transformed.imag[:, :n]], axis=1)
+        return pairs.reshape(2 * len(raw), n)
 
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return method, map(transform, normal_slabs(derive_seed(seed, label), raw_len))
+    return _Plan(method, "fgn-circulant", 2 * M, 2, None, transform)
 
 
-def _take(slabs: Iterator[np.ndarray], count: int, n: int) -> np.ndarray:
-    """The next ``count`` increment rows of a slab stream; a last slab's rest is dropped."""
-    out = np.empty((count, n))
-    filled = 0
-    while filled < count:
-        slab = next(slabs)
-        take = min(len(slab), count - filled)
-        out[filled : filled + take] = slab[:take]
-        filled += take
-    return out
+def map_paths(
+    grid: FbmGrid, m: int, seed: int, consume: Callable[[int, FbmPathBatch], None], method: str = "auto"
+) -> None:
+    """Call ``consume(start, batch)`` for consecutive batches of paths [0, m).
+
+    ``batch`` holds paths [start, start + batch.m), those of one transformed
+    ``rng.SLAB_ROWS``-row slab of raw normals (the last cut at m).  The
+    sampler plan is built once, and not at all when m = 0; the slabs run on
+    the block pool of :func:`chaoslab.rng.map_slabs`, so ``consume`` may run
+    concurrently for different batches and should write disjoint rows of
+    preallocated outputs.  An exception raised in ``consume`` propagates.
+    """
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    if m == 0:
+        return
+    plan = _sampler(grid, method)
+
+    def run(row: int, raw: np.ndarray) -> None:
+        start = row * plan.paths_per_row
+        increments = plan.transform(raw)[: m - start]
+        consume(start, FbmPathBatch(grid, increments, seed, plan.method))
+
+    rows = -(-m // (SLAB_ROWS * plan.paths_per_row)) * SLAB_ROWS  # whole slabs
+    map_slabs(derive_seed(seed, plan.label), plan.raw_len, rows, run, plan.max_threads)
 
 
 def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmPathBatch:
@@ -348,31 +371,17 @@ def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmP
 
     method: "cholesky" (exact, n <= 4096), "circulant" (fast, needs a
     non-negative embedding spectrum), or "auto" (cholesky up to n = 512).
-    To walk a large m in bounded memory use :func:`stream_paths`, which
-    yields the same paths.
+    To reduce a large m in bounded memory use :func:`map_paths`, which
+    hands over the same paths batch by batch.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    method, slabs = _sampler(grid, seed, method)
-    return FbmPathBatch(grid, _take(slabs, m, grid.n), seed, method)
+    method = _resolve_method(grid, method)
+    increments = np.empty((max(m, 0), grid.n))  # map_paths rejects m < 0
 
+    def fill(start: int, batch: FbmPathBatch) -> None:
+        increments[start : start + batch.m] = batch.increments
 
-def stream_paths(
-    grid: FbmGrid, m: int, seed: int, method: str = "auto"
-) -> Iterator[FbmPathBatch]:
-    """The paths of ``sample_paths(grid, m, seed, method)`` in consecutive batches.
-
-    Every batch holds ``PATH_CHUNK`` paths except possibly the last.  The
-    sampler plan is built once per stream, and not at all when m = 0.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if m == 0:
-        return
-    method, slabs = _sampler(grid, seed, method)
-    for start in range(0, m, PATH_CHUNK):
-        increments = _take(slabs, min(PATH_CHUNK, m - start), grid.n)
-        yield FbmPathBatch(grid, increments, seed, method)
+    map_paths(grid, m, seed, fill, method)
+    return FbmPathBatch(grid, increments, seed, method)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ shift at the lower critical point.  This module provides:
 - the classical Brownian example F_n = sqrt(n) int t^n W_t dW_t, whose limit
   (1/sqrt(2)) W_1 N exercises the whole stable-convergence pipeline at H=1/2.
 
-fBm paths are walked with :func:`chaoslab.fbm.stream_paths`; the Brownian
-example consumes its raw normals slab by slab on a thread pool with
-:func:`chaoslab.rng.map_slabs`.  Every replica draws counter-based randomness
-addressed by its index, so results are reproducible bit-for-bit whatever the
-thread count.
+fBm paths are reduced batch by batch by consumers of
+:func:`chaoslab.fbm.map_paths`, and the Brownian example's raw normals slab by
+slab with :func:`chaoslab.rng.map_slabs`, the thread pool under both.  Each
+consumer writes its replicas' rows of preallocated arrays, and every replica
+draws counter-based randomness addressed by its index, so results are
+reproducible bit-for-bit whatever the thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import scipy.fft
 from scipy.linalg import matmul_toeplitz, toeplitz
 from scipy.special import ndtr
 
-from .fbm import FbmGrid, rho, stream_paths
+from .fbm import FbmGrid, FbmPathBatch, map_paths, rho
 from .report import TestReport
 from .rng import SLAB_ROWS, derive_seed, map_slabs, normal_rows, worker_count
 from .variations import sigma_hq
@@ -114,16 +115,17 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
 
     variances = np.empty(m)
     shifts = np.zeros(m)
-    start = 0
-    for batch in stream_paths(grid, m, seed):
-        stop = start + batch.m
+
+    def consume(start: int, batch: FbmPathBatch) -> None:
+        rows = slice(start, start + batch.m)
         levels = batch.levels_at_increment_start()
-        variances[start:stop] = sigma**2 * np.mean(np.asarray(spec.weight(levels)) ** 2, axis=1)
+        variances[rows] = sigma**2 * np.mean(np.asarray(spec.weight(levels)) ** 2, axis=1)
         if spec.shift_coefficient != 0.0:
-            shifts[start:stop] = spec.shift_coefficient * np.mean(
+            shifts[rows] = spec.shift_coefficient * np.mean(
                 np.asarray(spec.weight(levels, spec.shift_order)), axis=1
             )
-        start = stop
+
+    map_paths(grid, m, seed, consume)
     z = normal_rows(derive_seed(seed, "mixture-z"), 0, m, 1)[:, 0]
     values = shifts + np.sqrt(variances) * z
     return MixtureSample(values=values, conditional_variances=variances, shifts=shifts)
@@ -314,11 +316,12 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
     grid = FbmGrid(H, n)
     scale = 1.0 / math.sqrt(moments.variance * n)  # = 1/(sigma_n sqrt(n)) variance-normalizer
     values = np.empty(m)
-    start = 0
-    for batch in stream_paths(grid, m, seed):
+
+    def consume(start: int, batch: FbmPathBatch) -> None:
         x = float(n) ** H * batch.increments
         values[start : start + batch.m] = scale * (x * x - 1.0).sum(axis=1)
-        start += batch.m
+
+    map_paths(grid, m, seed, consume)
     values.sort(kind="stable")
     gauss = ndtr(values)
     steps = np.arange(1, m + 1) / m

@@ -11,13 +11,13 @@ counter-based Philox streams addressed by row blocks:
   from that one generator by :func:`normal_slabs`;
 - a request for rows [start, start+count) draws the covered slabs (and the
   slabs before them in the first block) and slices, so any chunking of a
-  batch yields identical rows.  :func:`fbm.stream_paths` reads one
-  unbounded slab stream instead, so it draws each block once.
+  batch yields identical rows.
 - :func:`map_slabs` hands the slabs of rows [0, rows) to a consumer on a pool
-  of ``min(worker_count(), blocks)`` threads, one block per task.  A block's
-  slabs come from its own generator, drawn in order on one thread, so every
-  slab holds the same numbers whatever the thread count or the order in
-  which blocks finish; consumers write disjoint rows of their outputs.
+  of at most ``worker_count()`` threads, one block per task.  A block's slabs
+  come from its own generator, drawn in order on one thread into one buffer,
+  so every slab holds the same numbers whatever the thread count or the
+  order in which blocks finish; consumers write disjoint rows of their
+  outputs.  :func:`fbm.map_paths` and the Brownian example run on it.
 
 Distinct consumers derive independent stream seeds from the master seed with
 :func:`derive_seed` using a string label, so adding a consumer never perturbs
@@ -61,11 +61,12 @@ def _stream_key(seed: int) -> int:
     return int(words[0]) | (int(words[1]) << 64)
 
 
-def _block_slabs(key: int, block: int, row_len: int) -> Iterator[np.ndarray]:
-    """The slabs of one block, drawn lazily in order by the block's own generator."""
+def _block_slabs(key: int, block: int, row_len: int, out=None) -> Iterator[np.ndarray]:
+    """The slabs of one block, drawn lazily in order by the block's own generator;
+    with ``out``, each into that array, so a slab lasts until the next is drawn."""
     gen = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
     for _ in range(BLOCK_ROWS // SLAB_ROWS):
-        yield gen.standard_normal((SLAB_ROWS, row_len))
+        yield gen.standard_normal((SLAB_ROWS, row_len), out=out)
 
 
 def normal_slabs(seed: int, row_len: int, first_slab: int = 0) -> Iterator[np.ndarray]:
@@ -85,16 +86,21 @@ def normal_slabs(seed: int, row_len: int, first_slab: int = 0) -> Iterator[np.nd
 
 
 def map_slabs(
-    seed: int, row_len: int, rows: int, consume: Callable[[int, np.ndarray], None]
+    seed: int,
+    row_len: int,
+    rows: int,
+    consume: Callable[[int, np.ndarray], None],
+    max_threads: int | None = None,
 ) -> None:
     """Call ``consume(start, slab)`` for every slab of rows [0, rows), on a thread pool.
 
     ``slab`` holds rows [start, start + len(slab)); the last one is cut at
     ``rows`` and slabs wholly past it are not drawn.  Each block's slabs are
-    drawn and consumed in order by one task, and the pool has
-    ``min(worker_count(), blocks)`` threads, so ``consume`` may run
-    concurrently for different blocks.  An exception raised in ``consume``
-    propagates to the caller.
+    drawn into one buffer and consumed in order by one task, so ``consume``
+    must not keep a reference to ``slab``.  The pool has
+    ``min(worker_count(), max_threads, blocks)`` threads, so ``consume`` may
+    run concurrently for different blocks.  An exception raised in
+    ``consume`` propagates to the caller.
     """
     if rows < 0 or row_len <= 0:
         raise ValueError("need rows >= 0, row_len >= 1")
@@ -105,13 +111,13 @@ def map_slabs(
 
     def run(block: int) -> None:
         start = block * BLOCK_ROWS
-        for slab in _block_slabs(key, block, row_len):
+        for slab in _block_slabs(key, block, row_len, np.empty((SLAB_ROWS, row_len))):
             consume(start, slab[: rows - start])
             start += SLAB_ROWS
             if start >= rows:
                 return
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), blocks)) as pool:
+    with ThreadPoolExecutor(min(worker_count(), max_threads or blocks, blocks)) as pool:
         for _ in pool.map(run, range(blocks)):
             pass
 

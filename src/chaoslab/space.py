@@ -77,33 +77,18 @@ class GaussianSpace:
 
     # -- geometry ----------------------------------------------------------
 
-    def _coeffs(self, u) -> np.ndarray:
-        """A raw-basis coefficient vector of this space as a float array."""
+    def onb_coords(self, u) -> np.ndarray:
+        """Orthonormal coordinates of a raw-basis vector: w = u @ onb_transform.
+
+        The euclidean product of two such coordinate vectors is the inner
+        product <u, v> = u^T gram v.
+        """
         arr = np.asarray(u, dtype=float)
         if arr.shape != (self.dim,):
             raise ValueError(
                 f"dimension mismatch: space has d={self.dim}, got a vector of shape {arr.shape}"
             )
-        return arr
-
-    def inner(self, u, v) -> float:
-        """<u, v> = u^T gram v for raw-basis coefficient vectors."""
-        return float(self._coeffs(u) @ self.gram @ self._coeffs(v))
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(max(self.inner(u, u), 0.0)))
-
-    def onb_coords(self, u) -> np.ndarray:
-        """Orthonormal coordinates of a raw vector: w = u @ onb_transform."""
-        return self._coeffs(u) @ self.onb_transform
-
-    def check_onb(self, tol: float = 1e-10) -> float:
-        """Max-norm error of M·Mᵀ − gram; raises if above tol (scaled)."""
-        M = self.onb_transform
-        err = float(np.abs(M @ M.T - self.gram).max())
-        if err > tol * max(1.0, float(np.abs(self.gram).max())):
-            raise AssertionError(f"orthonormalization residual {err:.3e} exceeds {tol}")
-        return err
+        return arr @ self.onb_transform
 
     # -- random variables ---------------------------------------------------
 

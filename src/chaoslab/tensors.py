@@ -52,12 +52,6 @@ class SymTensor:
     def zeros(cls, space, order: int) -> "SymTensor":
         return cls(space, np.zeros(_dense_shape(space.dim, order)), symmetric=True)
 
-    @classmethod
-    def basis_vector(cls, space, i: int) -> "SymTensor":
-        e = np.zeros(space.dim)
-        e[i] = 1.0
-        return cls(space, e, symmetric=True)
-
     # -- symmetry ----------------------------------------------------------
 
     def _symmetry_error(self) -> float:

@@ -138,7 +138,7 @@ def test_criterion_3_decomposition_identity(verdict):
         a = n - 1
         alpha_a = float(alpha_diag(H, n, a))
         level_rv = sum(space.basis_rv(i) for i in range(a))
-        del_vec = SymTensor.basis_vector(space, a)
+        del_vec = SymTensor(space, np.eye(n)[a])
         basis = np.eye(n)
         transform = np.stack([space.onb_coords(basis[i]) for i in range(n)])
         for q, r in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]:

@@ -1,6 +1,9 @@
 """Fractional Brownian motion: covariances, samplers, file format, bound suite."""
 
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ import chaoslab.rng
 from chaoslab.fbm import (
     FbmGrid,
     FbmPathBatch,
-    PATH_CHUNK,
     abs_rho_power_sum,
     alpha,
     alpha_diag,
@@ -21,11 +23,11 @@ from chaoslab.fbm import (
     embedding_spectrum,
     eps_del,
     load_paths,
+    map_paths,
     rho,
     sample_paths,
     save_paths,
     signed_rho_power_sum,
-    stream_paths,
 )
 
 
@@ -203,16 +205,67 @@ def test_sample_paths_determinism_and_chunk_invariance():
     np.testing.assert_array_equal(chol_head.paths, chol.paths[:3])
 
 
-@pytest.mark.parametrize("method", ["cholesky", "circulant"])
-def test_stream_paths_concatenate_to_sample_paths(method):
+def _collect(grid, m, seed, method):
+    """The batches map_paths hands over, keyed by their first path."""
+    batches = {}
+    lock = threading.Lock()
+
+    def consume(start, batch):
+        with lock:
+            batches[start] = batch
+
+    map_paths(grid, m, seed, consume, method)
+    return [batches[start] for start in sorted(batches)]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(("method", "slab_paths"), [("cholesky", 256), ("circulant", 512)])
+def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, method, slab_paths):
+    # at "3" the pool may outnumber the cores; a short switch interval interleaves blocks
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
     grid = FbmGrid(0.3, 16)
-    m = 2 * PATH_CHUNK + 3
-    batches = list(stream_paths(grid, m, 9, method))
-    assert [b.m for b in batches] == [PATH_CHUNK, PATH_CHUNK, 3]
+    m = 4 * slab_paths + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        batches = _collect(grid, m, 9, method)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [b.m for b in batches] == [slab_paths] * 4 + [3]
     assert all(b.method == method and b.seed == 9 for b in batches)
     whole = sample_paths(grid, m, 9, method)
     np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
     np.testing.assert_array_equal(np.concatenate([b.paths for b in batches]), whole.paths)
+
+
+# sha256 of sample_paths(FbmGrid(0.3, 16), 769, 9, "cholesky") increments then
+# levels, recorded when a Cholesky stream still transformed 2048-path batches
+CHOLESKY_16_769 = "a4d089b1542ab792acc58993c7e277f5df99f53b88a57e3b2ee0cf128c10e54a"
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab(monkeypatch, threads):
+    # 769 paths leave one row in the last slab: cut before the transform, that
+    # row would go through a matrix-vector product, whose bits differ from the GEMM's
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    grid = FbmGrid(0.3, 16)
+    batches = _collect(grid, 769, 9, "cholesky")
+    assert [b.m for b in batches] == [256, 256, 256, 1]
+    whole = sample_paths(grid, 769, 9, "cholesky")
+    np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
+    digest = hashlib.sha256(whole.increments.tobytes() + whole.paths.tobytes()).hexdigest()
+    assert digest == CHOLESKY_16_769
+
+
+def test_map_paths_propagates_consumer_errors(monkeypatch):
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+
+    def consume(start, batch):
+        if start == 1024:
+            raise RuntimeError("bad batch")
+
+    with pytest.raises(RuntimeError, match="bad batch"):
+        map_paths(FbmGrid(0.3, 16), 4096, 1, consume, "circulant")
 
 
 def _count_calls(monkeypatch, module, name):
@@ -230,20 +283,36 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize(
     ("method", "plan_step"), [("cholesky", "cholesky"), ("circulant", "embedding_spectrum")]
 )
-def test_stream_builds_one_plan(monkeypatch, method, plan_step):
+def test_map_paths_builds_one_plan(monkeypatch, method, plan_step):
     calls = _count_calls(monkeypatch, chaoslab.fbm, plan_step)
-    m = 3 * PATH_CHUNK + 1
-    assert sum(b.m for b in stream_paths(FbmGrid(0.3, 16), m, 2, method)) == m
+    m = 3 * 2048 + 1
+    assert sum(b.m for b in _collect(FbmGrid(0.3, 16), m, 2, method)) == m
     assert len(calls) == 1
-    assert list(stream_paths(FbmGrid(0.3, 16), 0, 2, method)) == []
+    assert _collect(FbmGrid(0.3, 16), 0, 2, method) == []
     assert len(calls) == 1  # m = 0 builds no plan
 
 
-def test_stream_draws_each_rng_block_once(monkeypatch):
+def test_map_paths_draws_each_rng_block_once(monkeypatch):
     philox = _count_calls(monkeypatch, chaoslab.rng.np.random, "Philox")
     # 4096 circulant paths are 2048 pair rows: four 512-row blocks
-    assert sum(b.m for b in stream_paths(FbmGrid(0.3, 1024), 4096, 1, "circulant")) == 4096
+    assert sum(b.m for b in _collect(FbmGrid(0.3, 1024), 4096, 1, "circulant")) == 4096
     assert len(philox) == 4096 // 2 // chaoslab.rng.BLOCK_ROWS == 4
+
+
+@pytest.mark.parametrize(("method", "threads"), [("cholesky", 1), ("circulant", 3)])
+def test_map_paths_pool_size_is_a_property_of_the_plan(monkeypatch, method, threads):
+    # a Cholesky GEMM already runs on the BLAS threads, so its slabs get one pool thread
+    monkeypatch.setenv("CHAOSLAB_THREADS", "3")
+    pools = []
+
+    class RecordingPool(chaoslab.rng.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(chaoslab.rng, "ThreadPoolExecutor", RecordingPool)
+    map_paths(FbmGrid(0.3, 16), 4 * 2048, 1, lambda start, batch: None, method)
+    assert pools == [threads]
 
 
 def test_sample_paths_method_validation():

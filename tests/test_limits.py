@@ -413,3 +413,34 @@ def test_brownian_example_bits_pinned_at_any_thread_count(monkeypatch, threads):
     for key in ("f", "inner", "s2", "reference"):
         digest.update(np.ascontiguousarray(sink[key]).tobytes())
     assert digest.hexdigest() == BROWNIAN_PIN
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded while the fBm path loop was serial and reduced 2048-path batches;
+# the block pool must reproduce them at any thread count.
+# values, conditional variances, shifts of sample_mixture_limit(spec below, 1500, seed=6)
+MIXTURE_LIMIT_PIN = "882ee0887b4ff7b05b7eda6a58c90038397bcbf455ffc87bab1c6655290b738f"
+# the statistic of berry_esseen_check(0.3, 64, 3000, seed=5), as float64 bytes
+BERRY_ESSEEN_PIN = "1c08408e49651c96904ff4e0c3ac5061aa1a2d1f6866b6245baa1641f662b8a8"
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_mixture_limit_with_shift_bits_pinned_at_any_thread_count(monkeypatch, threads):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    cos = WeightFunction.cosine(1.0, 1.0)
+    spec = MixtureSpec(2, 0.25, cos, n_fine=1024, shift_coefficient=0.25, shift_order=2)
+    sample = sample_mixture_limit(spec, 1500, seed=6)
+    digest = _sha256(sample.values, sample.conditional_variances, sample.shifts)
+    assert digest == MIXTURE_LIMIT_PIN
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_berry_esseen_statistic_pinned_at_any_thread_count(monkeypatch, threads):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    assert _sha256([berry_esseen_check(0.3, 64, 3000, seed=5).statistic]) == BERRY_ESSEEN_PIN

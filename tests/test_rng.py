@@ -152,3 +152,17 @@ def test_map_slabs_zero_rows_builds_no_generator(monkeypatch):
     assert built == [] and delivered == []
     map_slabs(3, 8, 1, lambda start, slab: delivered.append(start))
     assert len(built) == 1 and delivered == [0]
+
+
+def test_map_slabs_draws_each_block_into_one_buffer(monkeypatch):
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    addresses = {}
+    lock = threading.Lock()
+
+    def consume(start, slab):
+        with lock:
+            addresses[start] = slab.__array_interface__["data"][0]
+
+    map_slabs(4, 8, 2 * rng.BLOCK_ROWS, consume)
+    assert addresses[0] == addresses[SLAB_ROWS]
+    assert addresses[rng.BLOCK_ROWS] == addresses[rng.BLOCK_ROWS + SLAB_ROWS]

@@ -7,26 +7,34 @@ from chaoslab.polyrv import wick_expectation
 from chaoslab.space import GaussianSpace
 
 
+def _covariance(space, u, v):
+    """E[X(u) X(v)], the inner product <u, v>, from the field random variables."""
+    return wick_expectation(space.field_rv(u) * space.field_rv(v))
+
+
 def test_identity_gram_inner_products():
     space = GaussianSpace.standard(3)
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
-    assert space.inner(e1, e1) == pytest.approx(1.0, abs=1e-14)
-    assert space.inner(e1, e2) == pytest.approx(0.0, abs=1e-14)
+    assert _covariance(space, e1, e1) == pytest.approx(1.0, abs=1e-14)
+    assert _covariance(space, e1, e2) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_correlated_gram_inner_product():
     space = GaussianSpace([[1.0, 0.5], [0.5, 1.0]])
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    assert space.inner(e1, e2) == pytest.approx(0.5, abs=1e-14)
-    assert space.norm(np.array([1.0, 1.0])) == pytest.approx(np.sqrt(3.0), abs=1e-12)
+    assert _covariance(space, e1, e2) == pytest.approx(0.5, abs=1e-14)
+    norm = np.linalg.norm(space.onb_coords(np.array([1.0, 1.0])))
+    assert norm == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
 
 def test_dimension_mismatch_error():
     space = GaussianSpace.standard(2)
     with pytest.raises(ValueError, match="dimension"):
-        space.inner(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        space.onb_coords(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="dimension"):
+        space.field_rv(np.array([1.0, 0.0, 0.0]))
 
 
 def test_asymmetric_gram_rejected():
@@ -45,16 +53,18 @@ def test_onb_transform_reproduces_gram():
         d = int(rng.integers(1, 6))
         a = rng.normal(size=(d, d))
         space = GaussianSpace(a @ a.T)
-        assert space.check_onb() <= 1e-10
+        M = space.onb_transform
+        assert np.abs(M @ M.T - space.gram).max() <= 1e-10
 
 
 def test_rank_deficient_gram_supported():
     # gram of rank 2 inside d = 3: duplicate direction must not break the ONB.
     a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     space = GaussianSpace(a @ a.T)
-    assert space.check_onb() <= 1e-10
+    M = space.onb_transform
+    assert np.abs(M @ M.T - space.gram).max() <= 1e-10
     v = np.array([1.0, 1.0, -1.0])  # lies in the kernel of the gram
-    assert space.norm(v) == pytest.approx(0.0, abs=1e-7)
+    assert np.linalg.norm(space.onb_coords(v)) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_basis_rv_second_moments_match_gram():
@@ -75,7 +85,7 @@ def test_field_rv_is_linear_in_coefficients():
     assert (lhs - rhs).is_zero
     # E[X(u) X(v)] = <u, v>_H
     cov = wick_expectation(space.field_rv(u) * space.field_rv(v))
-    assert cov == pytest.approx(space.inner(u, v), abs=1e-12)
+    assert cov == pytest.approx(u @ space.gram @ v, abs=1e-12)
 
 
 def test_onb_coords_roundtrip_inner_product():
@@ -86,7 +96,7 @@ def test_onb_coords_roundtrip_inner_product():
     v = rng.normal(size=4)
     # the euclidean product of ONB coordinates equals the H inner product
     dot = float(space.onb_coords(u) @ space.onb_coords(v))
-    assert dot == pytest.approx(space.inner(u, v), abs=1e-10)
+    assert dot == pytest.approx(u @ space.gram @ v, abs=1e-10)
 
 
 def test_standard_space_properties():

@@ -105,8 +105,9 @@ def test_zeros_and_basis_vector_helpers():
     space = GaussianSpace.standard(3)
     z = SymTensor.zeros(space, 2)
     assert z.order == 2 and not np.any(z.coeffs)
-    e = SymTensor.basis_vector(space, 1)
+    e = SymTensor(space, np.eye(3)[1])
     np.testing.assert_allclose(e.coeffs, [0.0, 1.0, 0.0])
+    assert e.order == 1 and e.symmetric
 
 
 def test_contraction_bilinearity():

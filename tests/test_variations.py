@@ -251,7 +251,7 @@ def test_closed_form_matches_exact_skorohod_oracle():
 
     # symbolic field: level B_a = X(e_0) + ... + X(e_{a-1})
     level_rv = sum(space.basis_rv(i) for i in range(a))
-    del_vec = SymTensor.basis_vector(space, a)
+    del_vec = SymTensor(space, np.eye(n)[a])
 
     # the symbolic polynomial lives in orthonormal coordinates w; the raw
     # increments are x = T w with T the ONB expansion of the basis vectors
