@@ -17,20 +17,22 @@ the flags) < explicit flags.  Every report embeds the effective configuration;
 timestamps and runtimes are confined to ``meta`` blocks so repeated runs with
 the same config and seed are byte-identical outside ``meta``.
 
-Exit codes: 0 all executed suites pass, 1 suite failure, 2 invalid config.
+Exit codes: 0 all executed suites pass, 1 suite failure, 2 invalid config
+(including a config-file value of the wrong JSON type, or a value out of range).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +74,12 @@ _DEFAULTS: dict[str, Any] = {
     "resolution": 8192,
     "export_paths": False,
 }
+# the JSON type of each key whose default does not show it, as the error names it
+_SPECIAL_TYPES = {
+    "n": (int, "an integer or a list of integers"),
+    "variance_tolerance": (float, "a number or null"),
+}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -128,7 +136,29 @@ def _load_config_file(path: str) -> dict[str, Any]:
     unknown = sorted(set(loaded) - set(_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; allowed: {sorted(_DEFAULTS)}")
+    for key, value in loaded.items():
+        _check_value_type(key, value)
     return loaded
+
+
+def _is_type(value: Any, kind: type) -> bool:
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_value_type(key: str, value: Any) -> None:
+    """Reject a config-file value whose JSON type differs from its default's.
+
+    A bool is not an integer; an integer is a number.
+    """
+    kind, expected = _SPECIAL_TYPES.get(key, (type(_DEFAULTS[key]), None))
+    if key == "variance_tolerance" and value is None:
+        return
+    values = value if key == "n" and isinstance(value, list) else [value]
+    if not all(_is_type(v, kind) for v in values):
+        expected = expected or _TYPE_NAMES[kind]
+        raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
 def _effective_config(args: argparse.Namespace) -> dict[str, Any]:
@@ -284,19 +314,7 @@ def _run_limit_test(config: dict[str, Any]):
         variance_tolerance=config["variance_tolerance"],
         alpha=config["alpha"],
     )
-    header = ["index", "statistic", "own_s2", "own_shift", "reference", "reference_s2"]
-    rows = [
-        [
-            i,
-            float(arrays["statistic"][i]),
-            float(arrays["own_s2"][i]),
-            float(arrays["own_shift"][i]),
-            float(arrays["reference"][i]),
-            float(arrays["reference_s2"][i]),
-        ]
-        for i in range(len(arrays["statistic"]))
-    ]
-    return [report], (header, rows), {}
+    return [report], _columns(arrays), {}
 
 
 def _run_berry_esseen(config: dict[str, Any]):
@@ -323,21 +341,14 @@ def _run_berry_esseen(config: dict[str, Any]):
 def _run_example_brownian(config: dict[str, Any]):
     if config["m"] <= 0:
         raise ConfigError("example-brownian requires m >= 1")
-    sink: dict[str, np.ndarray] = {}
-    report = brownian_example_run(
+    report, arrays = brownian_example_run(
         _single_n(config),
         config["m"],
         config["seed"],
         resolution=config["resolution"],
         alpha=config["alpha"],
-        sample_sink=sink,
     )
-    header = ["index", "f", "inner", "s2", "reference"]
-    rows = [
-        [i, float(sink["f"][i]), float(sink["inner"][i]), float(sink["s2"][i]), float(sink["reference"][i])]
-        for i in range(len(sink["f"]))
-    ]
-    return [report], (header, rows), {}
+    return [report], _columns(arrays), {}
 
 
 def _run_constants(config: dict[str, Any]):
@@ -381,6 +392,12 @@ _HANDLERS = {
 }
 
 
+def _columns(arrays: Mapping[str, np.ndarray]):
+    """CSV header and rows of per-replica columns, led by the replica index."""
+    rows = zip(itertools.count(), *(column.tolist() for column in arrays.values()))
+    return ["index", *arrays], rows
+
+
 def _write_samples(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -395,10 +412,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _effective_config(args)
         reports, csv_data, extra_payload = _HANDLERS[args.command](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ Two pipelines are provided, both fully determined by ``(seed, m, parameters)``:
     In the lower regime (H < 1/(2q)) compares n^{qH-1/2} G_n against the
     per-path Riemann term c_q * (1/n) sum_k f^(q)(B_{k/n}) in relative L2
     distance, checking that the distance decreases along a schedule of grid
-    sizes and ends below a target.
+    sizes and ends at most ``RIEMANN_TARGET_TOLERANCE``.
 
 Both return ``(TestReport, arrays)`` where ``arrays`` holds the per-replica
 columns used for CSV export.  Both reduce their fBm paths in consumers of
@@ -33,15 +33,7 @@ import time
 import numpy as np
 
 from .fbm import FbmGrid, FbmPathBatch, map_paths
-from .limits import (
-    KS_ALPHA,
-    CF_THRESHOLD,
-    MixtureSpec,
-    conditional_cf_test,
-    default_cf_functionals,
-    ks_two_sample,
-    sample_mixture_limit,
-)
+from .limits import KS_ALPHA, MixtureSpec, conditional_cf_test, ks_two_sample, sample_mixture_limit
 from .report import TestReport
 from .rng import derive_seed
 from .variations import classify_regime, full_variation, sigma_hq
@@ -52,6 +44,8 @@ __all__ = ["mixture_comparison", "riemann_comparison"]
 # riemann_comparison sums its squared terms per slice of this many paths, in
 # index order; that order fixes the report's digits
 PATH_CHUNK = 2048
+# riemann_comparison passes when its final relative L2 distance is at most this
+RIEMANN_TARGET_TOLERANCE = 0.10
 
 
 def _constant_scale(normalization: str, q: int) -> float:
@@ -77,7 +71,6 @@ def mixture_comparison(
     method: str = "circulant",
     variance_tolerance: float | None = None,
     alpha: float = KS_ALPHA,
-    cf_threshold: float = CF_THRESHOLD,
 ) -> tuple[TestReport, dict[str, np.ndarray]]:
     """Compare the renormalized variation statistic to its mixture limit.
 
@@ -87,10 +80,17 @@ def mixture_comparison(
     Passing different conventions deliberately mismatches statistic and
     constants — the variance ratio then lands near 1/(q!)^2, which is the
     ledger check that the two conventions are not interchangeable.
+
+    The report's statistic is the worst of the sub-scores KS statistic /
+    critical value, CF ratio / ``limits.CF_THRESHOLD`` and, when
+    ``variance_tolerance`` (> 0) is given, |variance ratio - 1| /
+    ``variance_tolerance``; it passes at most 1.
     """
     start_time = time.perf_counter()
     if m <= 0:
         raise ValueError("m must be positive")
+    if variance_tolerance is not None and not variance_tolerance > 0:
+        raise ValueError(f"variance_tolerance must be positive, got {variance_tolerance}")
     constants_normalization = constants_normalization or normalization
     regime = classify_regime(q, H)
     if regime.label not in ("mixed_clt", "critical_lower"):
@@ -124,16 +124,12 @@ def mixture_comparison(
         n_fine=n_fine,
         sigma=math.sqrt(sigma_sq),
         shift_coefficient=shift_coefficient,
-        shift_order=q if shift_coefficient != 0.0 else 0,
     )
     reference = sample_mixture_limit(spec, m, derive_seed(seed, "limit-reference"))
 
     ks_report = ks_two_sample(statistic, reference.values, alpha=alpha)
     cf_report = conditional_cf_test(
-        statistic,
-        default_cf_functionals(own_s2),
-        own_s2,
-        shifts=own_shift if shift_coefficient != 0.0 else None,
+        statistic, own_s2, shifts=own_shift if shift_coefficient != 0.0 else None
     )
 
     variance_statistic = float(statistic.var(ddof=1))
@@ -141,7 +137,7 @@ def mixture_comparison(
     variance_ratio = variance_statistic / variance_target
     sub_scores = {
         "ks": float(ks_report.statistic / ks_report.threshold),
-        "cf": float(cf_report.statistic / cf_threshold),
+        "cf": float(cf_report.statistic / cf_report.threshold),
     }
     if variance_tolerance is not None:
         sub_scores["variance"] = abs(variance_ratio - 1.0) / variance_tolerance
@@ -169,7 +165,7 @@ def mixture_comparison(
             "ks_threshold": float(ks_report.threshold),
             "ks_p_value": ks_report.extras["p_value"],
             "cf_ratio": float(cf_report.statistic),
-            "cf_threshold": cf_threshold,
+            "cf_threshold": cf_report.threshold,
             "sub_scores": sub_scores,
             "n": n,
             "n_fine": n_fine,
@@ -196,14 +192,13 @@ def riemann_comparison(
     *,
     normalization: str = "monic",
     method: str = "circulant",
-    target_tolerance: float = 0.10,
 ) -> tuple[TestReport, dict[str, np.ndarray]]:
     """Relative L2 distance of n^{qH-1/2} G_n to the per-path Riemann term.
 
     The renormalization cancels in the ratio, so the distance is computed as
     sqrt(E[(G_n - correction)^2] / E[correction^2]) on coupled paths.  The
     report passes when the distance strictly decreases along ``n_values`` and
-    the final distance is at most ``target_tolerance``.
+    the final distance is at most ``RIEMANN_TARGET_TOLERANCE``.
     """
     start_time = time.perf_counter()
     if m <= 0:
@@ -252,7 +247,7 @@ def riemann_comparison(
         norm_ratio_gaps.append(abs(math.sqrt(sq_stat / sq_term) - 1.0))
 
     ratios = [b / a for a, b in zip(distances, distances[1:])]
-    statistic = max(distances[-1] / target_tolerance, max(ratios))
+    statistic = max(distances[-1] / RIEMANN_TARGET_TOLERANCE, max(ratios))
     report = TestReport(
         name=f"riemann-comparison-q{q}-h{H:g}",
         statistic=statistic,
@@ -265,7 +260,7 @@ def riemann_comparison(
             "n_values": list(n_values),
             "distances": {str(n): d for n, d in zip(n_values, distances)},
             "decrease_ratios": ratios,
-            "target_tolerance": target_tolerance,
+            "target_tolerance": RIEMANN_TARGET_TOLERANCE,
             "norm_ratio_gaps": {str(n): g for n, g in zip(n_values, norm_ratio_gaps)},
         },
         meta={"runtime_seconds": time.perf_counter() - start_time},

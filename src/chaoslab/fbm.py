@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -59,6 +59,12 @@ CHOLESKY_MAX_N = 4096
 AUTO_METHOD_CUTOFF = 512
 EIGENVALUE_CLIP = 1e-8
 _MAGIC = b"FBMPATH1"
+# the grid of bounds_suite: Hurst indices (all < 1/2), chaos orders, grid sizes,
+# and the number of random (r, s, t) triples of the increment-covariance bound
+BOUNDS_H = (0.1, 0.2, 0.3, 0.4, 0.45)
+BOUNDS_Q = (2, 3)
+BOUNDS_N = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+BOUNDS_TRIPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +435,14 @@ def load_paths(path: str | Path) -> FbmPathBatch:
 # ---------------------------------------------------------------------------
 
 
-def bounds_suite(
-    H_values: Iterable[float] = (0.1, 0.2, 0.3, 0.4, 0.45),
-    q_values: Iterable[int] = (2, 3),
-    n_values: Iterable[int] = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
-    seed: int = 0,
-    triples: int = 10_000,
-) -> list[TestReport]:
+def bounds_suite(seed: int = 0) -> list[TestReport]:
     """Closed-form covariance bounds checked numerically at scale.
 
-    For each H (all < 1/2 here):
+    For each H in ``BOUNDS_H`` (and each q in ``BOUNDS_Q``, n in ``BOUNDS_N``
+    where the bound is indexed by them):
 
     - increment-covariance bound: |E[B_r (B_t - B_s)]| <= (t - s)^{2H} over
-      random 0 <= s <= t <= 1, r in [0,1];
+      ``BOUNDS_TRIPLES`` random 0 <= s <= t <= 1, r in [0,1];
     - pointwise bound |<eps_t, del_{k/n}>| <= n^{-2H};
     - uniform-in-n row sums: sup_t sum_k |<eps_t, del_{k/n}>| at n = 512 is
       at most twice the n = 8 value plus 1;
@@ -453,17 +454,15 @@ def bounds_suite(
     """
     rng_local = np.random.default_rng(np.random.SeedSequence((int(seed), 0xFB0)))
     reports: list[TestReport] = []
-    n_values = sorted(int(n) for n in n_values)
     series_tol = 1e-9  # truncation error of the full-series threshold
     float_slack = 1e-9
 
-    for H in H_values:
-        H = _check_hurst(H)
+    for H in BOUNDS_H:
         h2 = 2 * H
 
-        r = rng_local.random(triples)
-        s = rng_local.random(triples)
-        t = rng_local.random(triples)
+        r = rng_local.random(BOUNDS_TRIPLES)
+        s = rng_local.random(BOUNDS_TRIPLES)
+        t = rng_local.random(BOUNDS_TRIPLES)
         s, t = np.minimum(s, t), np.maximum(s, t)
         gap = np.maximum(t - s, 1e-300) ** h2
         ratio = np.abs(np.asarray(cov_rh(H, r, t)) - np.asarray(cov_rh(H, r, s))) / gap
@@ -472,7 +471,7 @@ def bounds_suite(
                 name=f"fbm-increment-covariance-bound-H{H}",
                 statistic=float(ratio.max()),
                 threshold=1.0 + float_slack,
-                sample_sizes=(triples,),
+                sample_sizes=(BOUNDS_TRIPLES,),
                 seeds=(int(seed),),
             )
         )
@@ -504,10 +503,10 @@ def bounds_suite(
             )
         )
 
-        for q in q_values:
+        for q in BOUNDS_Q:
             centered_worst = 0.0
             lag_worst = 0.0
-            for n in n_values:
+            for n in BOUNDS_N:
                 ks = np.arange(n)
                 diag = np.asarray(alpha_diag(H, n, ks))
                 centered = np.abs(diag**q - (-0.5) ** q * float(n) ** (-h2 * q))
@@ -523,7 +522,7 @@ def bounds_suite(
                     name=f"fbm-alpha-diagonal-moment-H{H}-q{q}",
                     statistic=centered_worst,
                     threshold=q / 2**q + float_slack,
-                    sample_sizes=tuple(n_values),
+                    sample_sizes=BOUNDS_N,
                     seeds=(int(seed),),
                 )
             )
@@ -532,7 +531,7 @@ def bounds_suite(
                     name=f"fbm-beta-double-sum-H{H}-q{q}",
                     statistic=lag_worst,
                     threshold=abs_rho_power_sum(H, q, series_tol) + series_tol + float_slack,
-                    sample_sizes=tuple(n_values),
+                    sample_sizes=BOUNDS_N,
                     seeds=(int(seed),),
                 )
             )

@@ -63,6 +63,11 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-9
+IDENTITIES = ("duality", "product", "commutation", "covariance", "isometry", "generator")
+# caps on the random instances: space dimension, tensor order, polynomial degree
+MAX_DIM = 4
+MAX_ORDER = 3
+MAX_DEGREE = 5
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,8 @@ class IdentityStats:
     failures: int
 
 
-def _random_space(rng: np.random.Generator, max_dim: int) -> GaussianSpace:
-    dim = int(rng.integers(1, max_dim + 1))
+def _random_space(rng: np.random.Generator) -> GaussianSpace:
+    dim = int(rng.integers(1, MAX_DIM + 1))
     if rng.random() < 0.3:
         return GaussianSpace.standard(dim)
     seed_mat = rng.normal(size=(dim, dim + 2))
@@ -254,41 +259,44 @@ def run_identity_suite(
     seed: int = 0,
     instances: int = 240,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_dim: int = 4,
-    max_order: int = 3,
-    max_degree: int = 5,
 ) -> TestReport:
     """Run randomized instances of all six identities; statistic = worst gap.
 
-    ``instances`` is the total count, spread evenly across the identities.
-    The verdict is pass iff every gap is within ``tolerance``.
+    ``instances`` is the total count, at least one per identity, spread evenly
+    across the identities.  Instances draw spaces of dimension at most
+    ``MAX_DIM``, fields of order at most ``MAX_ORDER`` and polynomials of
+    degree at most ``MAX_DEGREE``.  The verdict is pass iff every gap is
+    within ``tolerance``.
     """
+    if instances < len(IDENTITIES):
+        raise ValueError(
+            f"instances must be >= {len(IDENTITIES)} (one per identity), got {instances}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x1DE9)))
-    names = ("duality", "product", "commutation", "covariance", "isometry", "generator")
-    per = {name: instances // len(names) for name in names}
-    for name in names[: instances % len(names)]:
+    per = {name: instances // len(IDENTITIES) for name in IDENTITIES}
+    for name in IDENTITIES[: instances % len(IDENTITIES)]:
         per[name] += 1
 
     stats: dict[str, IdentityStats] = {}
     started = time.perf_counter()
     worst = 0.0
-    for name in names:
+    for name in IDENTITIES:
         gaps = []
         for _ in range(per[name]):
-            space = _random_space(rng, max_dim)
-            order = int(rng.integers(1, max_order + 1))
+            space = _random_space(rng)
+            order = int(rng.integers(1, MAX_ORDER + 1))
             if name == "duality":
-                F = _random_poly(rng, space, max_degree)
-                u = _random_field(rng, space, order, min(3, max_degree), symmetric=False)
+                F = _random_poly(rng, space, MAX_DEGREE)
+                u = _random_field(rng, space, order, min(3, MAX_DEGREE), symmetric=False)
                 gaps.append(duality_gap(F, u))
             elif name == "product":
-                F = _random_poly(rng, space, max_degree)
-                u = _random_field(rng, space, order, min(3, max_degree), symmetric=True)
+                F = _random_poly(rng, space, MAX_DEGREE)
+                u = _random_field(rng, space, order, min(3, MAX_DEGREE), symmetric=True)
                 gaps.append(product_gap(F, u))
             elif name == "commutation":
                 j = int(rng.integers(1, 3))
                 k = int(rng.integers(1, 3))
-                u = _random_field(rng, space, j, min(3, max_degree), symmetric=True)
+                u = _random_field(rng, space, j, min(3, MAX_DEGREE), symmetric=True)
                 gaps.append(commutation_gap(u, k))
             elif name == "covariance":
                 u = _random_field(rng, space, order, 2, symmetric=True)
@@ -297,15 +305,15 @@ def run_identity_suite(
             elif name == "isometry":
                 f = _random_sym_tensor(rng, space, order)
                 if rng.random() < 0.25:
-                    other = 1 + (order % max_order)
+                    other = 1 + (order % MAX_ORDER)
                     g = _random_sym_tensor(rng, space, other)
                 else:
                     g = _random_sym_tensor(rng, space, order)
                 gaps.append(isometry_gap(f, g))
             else:  # generator
-                F = _random_poly(rng, space, max_degree)
+                F = _random_poly(rng, space, MAX_DEGREE)
                 gaps.append(generator_gap(F))
-        max_gap = float(max(gaps)) if gaps else 0.0
+        max_gap = float(max(gaps))
         worst = max(worst, max_gap)
         stats[name] = IdentityStats(
             instances=per[name],
@@ -329,7 +337,7 @@ def run_identity_suite(
                 }
                 for name, s in stats.items()
             },
-            "caps": {"max_dim": max_dim, "max_order": max_order, "max_degree": max_degree},
+            "caps": {"max_dim": MAX_DIM, "max_order": MAX_ORDER, "max_degree": MAX_DEGREE},
         },
         meta={"runtime_seconds": runtime},
     )

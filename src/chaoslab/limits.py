@@ -8,13 +8,15 @@ shift at the lower critical point.  This module provides:
 - a sampler for those limit laws (fine-grid fBm + fresh Gaussians),
 - a two-sample Kolmogorov–Smirnov test (weak convergence),
 - a conditional characteristic-function test (stable convergence: compares
-  E[e^{i lam F} Z] with E[e^{i lam shift - lam^2 S^2/2} Z] over a fixed family
-  of bounded functionals Z of the conditional variance),
+  E[e^{i lam F} Z] with E[e^{i lam shift - lam^2 S^2/2} Z] at each lam in
+  ``CF_LAMBDAS`` over a fixed family of functionals Z of the conditional
+  variance; the worst cell is compared with ``CF_THRESHOLD``),
 - exact second/fourth moments of the unweighted second-chaos variation from
   Toeplitz trace identities, the associated Berry–Esseen-type bound, and a
   Monte Carlo check that the observed CDF distance respects it,
 - the classical Brownian example F_n = sqrt(n) int t^n W_t dW_t, whose limit
-  (1/sqrt(2)) W_1 N exercises the whole stable-convergence pipeline at H=1/2.
+  (1/sqrt(2)) W_1 N exercises the whole stable-convergence pipeline at H=1/2;
+  like the experiments it returns ``(TestReport, arrays)``.
 
 fBm paths are reduced batch by batch by consumers of
 :func:`chaoslab.fbm.map_paths`, and the Brownian example's raw normals slab by
@@ -30,7 +32,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft
@@ -51,7 +53,6 @@ __all__ = [
     "brownian_example_run",
     "chaos2_fourth_moment_exact",
     "conditional_cf_test",
-    "default_cf_functionals",
     "ks_two_sample",
     "kolmogorov_pvalue",
     "ks_critical_value",
@@ -61,7 +62,9 @@ __all__ = [
 CHAOS2_DENSE_MAX_N = 4096
 CHAOS2_MAX_N = 1 << 16
 KS_ALPHA = 0.01
-CF_THRESHOLD = 4.0
+KOLMOGOROV_TERMS = 100  # terms of the asymptotic Kolmogorov tail series
+CF_LAMBDAS = (0.5, 1.0, 2.0)
+CF_THRESHOLD = 4.0  # in Monte Carlo standard errors
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +77,7 @@ class MixtureSpec:
     """The law sigma * sqrt(int_0^1 f(B_s)^2 ds) * N (+ optional shift).
 
     ``sigma`` defaults to sigma_{H,q}.  When ``shift_coefficient`` is nonzero
-    the sampler adds shift = shift_coefficient * int_0^1 f^(shift_order)(B_s) ds
+    the sampler adds shift = shift_coefficient * int_0^1 f^(q)(B_s) ds
     computed from the same path, which is the combined limit arising at the
     lower critical H = 1/(2q).
     """
@@ -85,7 +88,6 @@ class MixtureSpec:
     n_fine: int = 4096
     sigma: float | None = None
     shift_coefficient: float = 0.0
-    shift_order: int = 0
 
     def resolved_sigma(self) -> float:
         if self.sigma is not None:
@@ -122,7 +124,7 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
         variances[rows] = sigma**2 * np.mean(np.asarray(spec.weight(levels)) ** 2, axis=1)
         if spec.shift_coefficient != 0.0:
             shifts[rows] = spec.shift_coefficient * np.mean(
-                np.asarray(spec.weight(levels, spec.shift_order)), axis=1
+                np.asarray(spec.weight(levels, spec.q)), axis=1
             )
 
     map_paths(grid, m, seed, consume)
@@ -136,17 +138,18 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
 # ---------------------------------------------------------------------------
 
 
-def ks_critical_value(n1: int, n2: int, alpha: float = KS_ALPHA) -> float:
+def ks_critical_value(n1: int, n2: int, alpha: float) -> float:
     """Two-sample KS critical value c(alpha) sqrt((n1+n2)/(n1 n2))."""
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
-def kolmogorov_pvalue(lam: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov tail Q(lam) = 2 sum_{j>=1} (-1)^{j-1} e^{-2 j^2 lam^2}."""
+def kolmogorov_pvalue(lam: float) -> float:
+    """Asymptotic Kolmogorov tail Q(lam) = 2 sum_{j>=1} (-1)^{j-1} e^{-2 j^2 lam^2},
+    summed over the first ``KOLMOGOROV_TERMS`` terms."""
     if lam <= 0:
         return 1.0
-    j = np.arange(1, terms + 1)
+    j = np.arange(1, KOLMOGOROV_TERMS + 1)
     series = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j**2 * lam**2))
     return float(min(1.0, max(0.0, series)))
 
@@ -173,30 +176,18 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float], alpha: float = KS_ALPH
     )
 
 
-def default_cf_functionals(predicted_S2: np.ndarray) -> Mapping[str, np.ndarray]:
-    """The fixed family of bounded conditioning functionals Z = g(S^2)."""
-    s2 = np.asarray(predicted_S2, dtype=float)
-    return {
-        "one": np.ones_like(s2),
-        "s2": s2,
-        "min_s2_1": np.minimum(s2, 1.0),
-        "exp_neg_s2": np.exp(-s2),
-    }
-
-
 def conditional_cf_test(
     statistic_values: Sequence[float],
-    functionals_of_B: Mapping[str, np.ndarray] | None,
     predicted_S2: Sequence[float],
-    lambda_grid: Sequence[float] = (0.5, 1.0, 2.0),
     shifts: Sequence[float] | None = None,
 ) -> TestReport:
     """Test of *stable* convergence via conditional characteristic functions.
 
-    For each lambda and each bounded functional Z, compares the Monte Carlo
+    For each lambda in ``CF_LAMBDAS`` and each functional Z of the fixed
+    family g(S^2) in {1, S^2, min(S^2, 1), e^{-S^2}}, compares the Monte Carlo
     averages of e^{i lam F_n} Z and e^{i lam shift - lam^2 S^2 / 2} Z on
     paired replicas.  The statistic is the worst discrepancy measured in MC
-    standard errors of the paired difference; threshold 4.
+    standard errors of the paired difference; threshold ``CF_THRESHOLD``.
     """
     values = np.asarray(statistic_values, dtype=float)
     s2 = np.asarray(predicted_S2, dtype=float)
@@ -207,20 +198,22 @@ def conditional_cf_test(
     shift = np.zeros_like(values) if shifts is None else np.asarray(shifts, dtype=float)
     if shift.shape != values.shape:
         raise ValueError("shifts must pair with statistic values")
-    family = default_cf_functionals(s2) if functionals_of_B is None else functionals_of_B
     m = values.size
     if m == 0:
         raise ValueError("need at least one replica")
+    family = {
+        "one": np.ones_like(s2),
+        "s2": s2,
+        "min_s2_1": np.minimum(s2, 1.0),
+        "exp_neg_s2": np.exp(-s2),
+    }
 
     worst = 0.0
     cells = {}
-    for lam in lambda_grid:
+    for lam in CF_LAMBDAS:
         empirical = np.exp(1j * lam * values)
         predicted = np.exp(1j * lam * shift - 0.5 * lam**2 * s2)
         for name, z in family.items():
-            z = np.asarray(z, dtype=float)
-            if z.shape != values.shape:
-                raise ValueError(f"functional {name!r} must pair with statistic values")
             diff = (empirical - predicted) * z
             mean = complex(diff.mean())
             # standard error of the complex mean of the paired differences
@@ -235,7 +228,7 @@ def conditional_cf_test(
         statistic=worst,
         threshold=CF_THRESHOLD,
         sample_sizes=(int(m),),
-        extras={"cells": cells, "lambda_grid": list(lambda_grid)},
+        extras={"cells": cells, "lambda_grid": list(CF_LAMBDAS)},
     )
 
 
@@ -363,8 +356,7 @@ def brownian_example_run(
     seed: int,
     resolution: int = 8192,
     alpha: float = KS_ALPHA,
-    sample_sink: dict | None = None,
-) -> TestReport:
+) -> tuple[TestReport, dict[str, np.ndarray]]:
     """Monte Carlo verification of F_n = sqrt(n) int_0^1 t^n W_t dW_t.
 
     As n grows this second-chaos sequence converges stably to
@@ -376,6 +368,9 @@ def brownian_example_run(
     - E[F_n^2] = 1/2 within 3 MC standard errors,
     - two-sample KS between F_n and the limit law at level ``alpha``,
     - the conditional CF test against S^2 = W_1^2/2.
+
+    Returns ``(TestReport, arrays)``, the arrays being the per-replica columns
+    ``f``, ``inner``, ``s2`` and ``reference``, in that order.
 
     The time grid is uniform in t^(n+1) so the boundary layer of width ~1/n
     at t = 1, where all the variance of the integrand lives, is fully
@@ -392,6 +387,8 @@ def brownian_example_run(
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     started = time.perf_counter()
     t, dt = _brownian_grid(n, resolution)
     t_left = t[:-1]
@@ -445,16 +442,11 @@ def brownian_example_run(
     second = f_values**2
     z_var = abs(second.mean() - 0.5) / (second.std(ddof=1) / math.sqrt(m))
     ks = ks_two_sample(f_values, ref_values, alpha)
-    cf = conditional_cf_test(f_values, None, s2_values)
+    cf = conditional_cf_test(f_values, s2_values)
     condition_a = 2.0 * n / ((n + 2.0) * (2.0 * n + 3.0))
 
-    if sample_sink is not None:
-        sample_sink.update(
-            f=f_values, inner=inner_values, s2=s2_values, reference=ref_values
-        )
-
     statistic = max(z_inner / 3.0, z_var / 3.0, ks.statistic / ks.threshold, cf.statistic / cf.threshold)
-    return TestReport(
+    report = TestReport(
         name=f"brownian-example-n{n}",
         statistic=statistic,
         threshold=1.0,
@@ -475,3 +467,5 @@ def brownian_example_run(
         },
         meta={"runtime_seconds": time.perf_counter() - started},
     )
+    arrays = {"f": f_values, "inner": inner_values, "s2": s2_values, "reference": ref_values}
+    return report, arrays

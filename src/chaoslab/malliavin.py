@@ -55,13 +55,6 @@ class PolyTensor:
         return self.entries.ndim
 
     @classmethod
-    def zeros(cls, space, order: int) -> "PolyTensor":
-        zero = PolyRV.constant(space, 0.0)
-        arr = np.empty((space.dim,) * order, dtype=object)
-        arr[...] = zero
-        return cls(space, arr)
-
-    @classmethod
     def from_constant_tensor(cls, tensor: SymTensor) -> "PolyTensor":
         """Deterministic kernel, transformed from the raw basis to ON coordinates."""
         space = tensor.space
@@ -73,7 +66,7 @@ class PolyTensor:
 
     def map(self, fn) -> "PolyTensor":
         out = np.empty(self.entries.shape, dtype=object)
-        for idx in _indices(self.entries):
+        for idx in _iter_shape(self.entries.shape):
             out[idx] = fn(self.entries[idx])
         return PolyTensor(self.space, out)
 
@@ -81,7 +74,7 @@ class PolyTensor:
         if self.entries.shape != other.entries.shape:
             raise ValueError("order mismatch")
         out = np.empty(self.entries.shape, dtype=object)
-        for idx in _indices(self.entries):
+        for idx in _iter_shape(self.entries.shape):
             out[idx] = self.entries[idx] + other.entries[idx]
         return PolyTensor(self.space, out)
 
@@ -95,7 +88,7 @@ class PolyTensor:
             return self
         perms = list(itertools.permutations(range(q)))
         out = np.empty(self.entries.shape, dtype=object)
-        for idx in _indices(self.entries):
+        for idx in _iter_shape(self.entries.shape):
             acc = PolyRV.constant(self.space, 0.0)
             for perm in perms:
                 acc = acc + self.entries[tuple(idx[p] for p in perm)]
@@ -104,16 +97,12 @@ class PolyTensor:
 
     def max_abs_coeff(self) -> float:
         worst = 0.0
-        for idx in _indices(self.entries):
+        for idx in _iter_shape(self.entries.shape):
             worst = max(worst, self.entries[idx].max_abs_coeff())
         return worst
 
     def __repr__(self):
         return f"PolyTensor(dim={self.space.dim}, order={self.order})"
-
-
-def _indices(arr: np.ndarray):
-    return _iter_shape(arr.shape)
 
 
 def _iter_shape(shape: tuple[int, ...]):
@@ -154,7 +143,7 @@ def derivative(F: PolyRV | PolyTensor, k: int = 1) -> PolyTensor:
 def _derivative_once(u: PolyTensor) -> PolyTensor:
     d = u.space.dim
     out = np.empty((d,) + u.entries.shape, dtype=object)
-    for idx in _indices(u.entries):
+    for idx in _iter_shape(u.entries.shape):
         entry = u.entries[idx]
         for a in range(d):
             out[(a,) + idx] = entry.diff(a)
@@ -215,7 +204,7 @@ def pairwise_inner(a: PolyTensor, b: PolyTensor) -> PolyRV:
     if a.entries.shape != b.entries.shape:
         raise ValueError("order mismatch in tensor pairing")
     acc = PolyRV.constant(a.space, 0.0)
-    for idx in _indices(a.entries):
+    for idx in _iter_shape(a.entries.shape):
         acc = acc + a.entries[idx] * b.entries[idx]
     return acc
 
@@ -250,8 +239,7 @@ def multiple_integral(f: SymTensor) -> PolyRV:
     Satisfies the isometry E[I_p(f)I_q(g)] = 1{p=q}·q!·⟨f̃, g̃⟩.
     """
     space = f.space
-    was_symmetric = f.symmetric
-    if not was_symmetric:
+    if not f.symmetric:
         f = f.symmetrize()
     q = f.order
     if q == 0:
@@ -275,8 +263,7 @@ def multiple_integral(f: SymTensor) -> PolyRV:
             mult //= math.factorial(m_a)
             term = term * PolyRV.from_univariate(he_cache[m_a], PolyRV.coordinate(space, a))
         total = total + term * (coeff * mult)
-    meta = {"symmetrized": not was_symmetric}
-    return PolyRV(total.space, total.terms, meta=meta)
+    return total
 
 
 # -- Ornstein–Uhlenbeck generator ----------------------------------------------

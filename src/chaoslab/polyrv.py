@@ -15,8 +15,6 @@ that).
 from __future__ import annotations
 
 import math
-from typing import Iterator
-
 import numpy as np
 
 PRUNE_TOL = 1e-14
@@ -38,9 +36,9 @@ def _gaussian_moment(power: int) -> float:
 class PolyRV:
     """Immutable sparse polynomial in the orthonormal Gaussian coordinates."""
 
-    __slots__ = ("space", "terms", "degree", "meta")
+    __slots__ = ("space", "terms", "degree")
 
-    def __init__(self, space, terms: dict[tuple[int, ...], float], meta: dict | None = None):
+    def __init__(self, space, terms: dict[tuple[int, ...], float]):
         d = space.dim
         clean: dict[tuple[int, ...], float] = {}
         degree = 0
@@ -59,7 +57,6 @@ class PolyRV:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "meta", dict(meta) if meta else {})
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("PolyRV is immutable")
@@ -88,16 +85,6 @@ class PolyRV:
         return acc
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, expo: tuple[int, ...]) -> float:
-        return self.terms.get(tuple(expo), 0.0)
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        return iter(self.terms.items())
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -142,14 +129,6 @@ class PolyRV:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0 or int(k) != k:
-            raise ValueError("PolyRV power must be a non-negative integer")
-        acc = PolyRV.constant(self.space, 1.0)
-        for _ in range(int(k)):
-            acc = acc * self
-        return acc
-
     # -- calculus ----------------------------------------------------------
 
     def diff(self, a: int) -> "PolyRV":
@@ -165,20 +144,6 @@ class PolyRV:
             key = expo[:a] + (p - 1,) + expo[a + 1:]
             out[key] = out.get(key, 0.0) + c * p
         return PolyRV(self.space, out)
-
-    def eval(self, z) -> float:
-        """Evaluate at a coordinate vector z of length ``space.dim``."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.space.dim,):
-            raise ValueError(f"expected coordinates of shape ({self.space.dim},)")
-        total = 0.0
-        for expo, c in self.terms.items():
-            v = c
-            for zi, p in zip(z, expo):
-                if p:
-                    v *= zi ** p
-            total += v
-        return total
 
     def __repr__(self):
         k = len(self.terms)

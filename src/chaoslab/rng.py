@@ -8,10 +8,10 @@ counter-based Philox streams addressed by row blocks:
 - rows are grouped in fixed blocks of ``BLOCK_ROWS``;
 - block b of a stream uses ``Philox(key=stream key, counter=b << 128)`` and
   fills its rows sequentially, drawn as consecutive ``SLAB_ROWS``-row slabs
-  from that one generator by :func:`normal_slabs`;
-- a request for rows [start, start+count) draws the covered slabs (and the
-  slabs before them in the first block) and slices, so any chunking of a
-  batch yields identical rows.
+  from that one generator;
+- :func:`normal_rows` serves rows [start, start+count) by drawing the covered
+  slabs (and the slabs before them in the first block) and slicing, so any
+  chunking of a batch yields identical rows.
 - :func:`map_slabs` hands the slabs of rows [0, rows) to a consumer on a pool
   of at most ``worker_count()`` threads, one block per task.  A block's slabs
   come from its own generator, drawn in order on one thread into one buffer,
@@ -27,7 +27,6 @@ existing streams.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
@@ -40,7 +39,6 @@ __all__ = [
     "derive_seed",
     "map_slabs",
     "normal_rows",
-    "normal_slabs",
     "worker_count",
 ]
 
@@ -67,22 +65,6 @@ def _block_slabs(key: int, block: int, row_len: int, out=None) -> Iterator[np.nd
     gen = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
     for _ in range(BLOCK_ROWS // SLAB_ROWS):
         yield gen.standard_normal((SLAB_ROWS, row_len), out=out)
-
-
-def normal_slabs(seed: int, row_len: int, first_slab: int = 0) -> Iterator[np.ndarray]:
-    """Consecutive ``SLAB_ROWS``-row slabs of the normal matrix, from slab ``first_slab`` on.
-
-    The stream is unbounded.  Each block's generator is made once, when the
-    first of its slabs is needed, and draws its slabs in order, so slab s
-    holds rows [s * SLAB_ROWS, (s + 1) * SLAB_ROWS) exactly as a draw of the
-    whole block would.  Slabs of the first block before ``first_slab`` are
-    drawn and dropped.
-    """
-    first_block, skip = divmod(first_slab, BLOCK_ROWS // SLAB_ROWS)
-    key = _stream_key(seed)
-    for block in itertools.count(first_block):
-        yield from itertools.islice(_block_slabs(key, block, row_len), skip, None)
-        skip = 0
 
 
 def map_slabs(
@@ -131,12 +113,14 @@ def normal_rows(seed: int, start: int, count: int, row_len: int) -> np.ndarray:
     if start < 0 or count < 0 or row_len <= 0:
         raise ValueError("need start >= 0, count >= 0, row_len >= 1")
     out = np.empty((count, row_len))
-    first_slab = start // SLAB_ROWS
-    bases = range(first_slab * SLAB_ROWS, start + count, SLAB_ROWS)
-    for base, slab in zip(bases, normal_slabs(seed, row_len, first_slab)):
-        lo = max(start, base)
-        hi = min(start + count, base + SLAB_ROWS)
-        out[lo - start : hi - start] = slab[lo - base : hi - base]
+    key = _stream_key(seed)
+    stop = start + count
+    for block in range(start // BLOCK_ROWS, -(-stop // BLOCK_ROWS)):
+        bases = range(block * BLOCK_ROWS, stop, SLAB_ROWS)
+        for base, slab in zip(bases, _block_slabs(key, block, row_len)):
+            lo, hi = max(start, base), min(stop, base + SLAB_ROWS)
+            if lo < hi:
+                out[lo - start : hi - start] = slab[lo - base : hi - base]
     return out
 
 

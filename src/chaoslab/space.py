@@ -92,12 +92,6 @@ class GaussianSpace:
 
     # -- random variables ---------------------------------------------------
 
-    def constant(self, value: float) -> PolyRV:
-        return PolyRV.constant(self, value)
-
-    def coordinate(self, a: int) -> PolyRV:
-        return PolyRV.coordinate(self, a)
-
     def field_rv(self, u) -> PolyRV:
         """X(u) = Σ_a (u @ M)_a · Z_a as a linear PolyRV."""
         w = self.onb_coords(u)

@@ -4,8 +4,8 @@ A :class:`SymTensor` of order q over a d-dimensional space stores a dense
 coefficient array indexed by {0..d−1}^q plus a symmetry flag.
 
 Contractions pair the *last* r slots of both tensors through the space's Gram
-matrix (not the Euclidean dot product); the result is not symmetrized unless
-requested.
+matrix (not the Euclidean dot product); the result is not symmetrized (call
+:meth:`SymTensor.symmetrize` on it).
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class SymTensor:
         if symmetric is None:
             symmetric = q <= 1 or self._symmetry_error() <= 1e-12
         self.symmetric = bool(symmetric)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, space, order: int) -> "SymTensor":
-        return cls(space, np.zeros(_dense_shape(space.dim, order)), symmetric=True)
 
     # -- symmetry ----------------------------------------------------------
 
@@ -103,7 +97,7 @@ class SymTensor:
         )
 
 
-def contract(f: SymTensor, g: SymTensor, r: int, symmetrize: bool = False):
+def contract(f: SymTensor, g: SymTensor, r: int):
     """r-th contraction f ⊗_r g, pairing the last r slots through the Gram matrix.
 
     Returns a SymTensor of order p+q−2r, or a float when the result is a
@@ -129,7 +123,4 @@ def contract(f: SymTensor, g: SymTensor, r: int, symmetrize: bool = False):
         )
     if out.ndim == 0:
         return float(out)
-    result = SymTensor(f.space, out, symmetric=False)
-    if symmetrize:
-        result = result.symmetrize()
-    return result
+    return SymTensor(f.space, out, symmetric=False)

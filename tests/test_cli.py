@@ -7,6 +7,7 @@ an isolated output directory, then inspects exit codes, the canonical
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -276,3 +277,94 @@ def test_example_brownian_writes_samples_and_is_deterministic(tmp_path):
         without_meta(payload_b)
     )
     assert (dir_a / "samples.csv").read_bytes() == (dir_b / "samples.csv").read_bytes()
+
+
+def _run_with_config(tmp_path, argv, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return main(argv + ["--config", str(config_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["constants"], {"q": "2"}, "q"),
+        (["constants"], {"alpha": "x"}, "alpha"),
+        (["constants"], {"m": 2.5}, "m"),
+        (["constants"], {"seed": True}, "seed"),
+        (["constants"], {"H": False}, "H"),
+        (["constants"], {"weight": 1}, "weight"),
+        (["constants"], {"decompose": 1}, "decompose"),
+        (["constants"], {"n": [64, 1.5]}, "n"),
+        (["constants"], {"n": "64"}, "n"),
+        (["constants"], {"variance_tolerance": "0.1"}, "variance_tolerance"),
+        # the wrong type of value is caught before anything runs
+        (["limit-test", "--m", "8"], {"variance_tolerance": [0.1]}, "variance_tolerance"),
+        # in range only by value: rejected by the library before any sampling
+        (["limit-test", "--m", "8", "--n", "64"], {"variance_tolerance": 0}, "variance_tolerance"),
+        (["limit-test", "--m", "8", "--n", "64"], {"variance_tolerance": -0.1}, "variance_tolerance"),
+        (["identities"], {"instances": 0}, "instances"),
+        (["identities"], {"instances": -5}, "instances"),
+        (["example-brownian", "--n", "4", "--m", "8"], {"resolution": 1}, "resolution"),
+        (["example-brownian", "--n", "4", "--m", "8"], {"resolution": 0}, "resolution"),
+    ],
+)
+def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, argv, config, key):
+    rc = _run_with_config(tmp_path, argv, config)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert key in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_config_values_of_the_default_type_are_accepted(tmp_path):
+    config = {"tolerance": 1, "n": 64, "variance_tolerance": None, "decompose": False, "q": 3}
+    assert _run_with_config(tmp_path, ["constants"], config) == 0
+    payload = _read_report(tmp_path / "out")
+    assert payload["config"]["n"] == [64]
+    assert payload["config"]["tolerance"] == 1
+
+
+def _output_digest(out_dir) -> str:
+    """sha256 of report.json without meta, version and config.out, then samples.csv."""
+    payload = without_meta(_read_report(out_dir))
+    payload.pop("version")
+    payload["config"].pop("out")
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+    digest.update((out_dir / "samples.csv").read_bytes())
+    return digest.hexdigest()
+
+
+# Output digests at tiny sizes, recorded before the per-replica tables were
+# written by one column helper: a change of these bytes is a change of output.
+@pytest.mark.parametrize(
+    "argv, config, pin",
+    [
+        (
+            ["limit-test", "--q", "2", "--H", "0.3", "--n", "256", "--m", "64",
+             "--weight", "cos:1,1", "--seed", "3"],
+            {"n_fine": 1024, "variance_tolerance": 0.5},
+            "1831ccaa37243ddb58bbc22295cd080ad5e98fa37535c0da36ccfb591903abe1",
+        ),
+        (
+            ["example-brownian", "--n", "8", "--m", "64", "--seed", "2"],
+            {"resolution": 512},
+            "78f3534a5219ad8045b9be7df1b158df8e0b594dbb147fe5f4b1b63301567d8d",
+        ),
+        (
+            ["identities", "--seed", "3"],
+            {"instances": 12},
+            "15efdb2759f46dbd91f175befeea5df0b9040879cc2d65a81b58a7e977d34624",
+        ),
+        (
+            ["fbm", "--H", "0.3", "--n", "16", "--m", "5", "--seed", "1", "--method", "circulant"],
+            {},
+            "3c6cde412ff47f71faefffa66a76d5f15d87a24d4315253148ccb1daa8d9024e",
+        ),
+    ],
+    ids=["limit-test", "example-brownian", "identities", "fbm"],
+)
+def test_cli_output_bytes_pinned(tmp_path, argv, config, pin):
+    assert _run_with_config(tmp_path, argv, config) == 0
+    assert _output_digest(tmp_path / "out") == pin

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import chaoslab.experiments
 from chaoslab.experiments import mixture_comparison, riemann_comparison
 from chaoslab.fbm import FbmGrid, sample_paths
 from chaoslab.weights import WeightFunction
@@ -110,6 +111,20 @@ def test_mixture_comparison_variance_gate_optional():
         2, 0.3, COS, 256, 300, seed=7, n_fine=1024, variance_tolerance=0.2
     )
     assert "variance" in gated.extras["sub_scores"]
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -0.2])
+def test_mixture_comparison_rejects_nonpositive_variance_tolerance_before_sampling(
+    monkeypatch, tolerance
+):
+    # 0 divides by zero, and a negative tolerance gives a variance gate that
+    # cannot fail
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating variance_tolerance")
+
+    monkeypatch.setattr(chaoslab.experiments, "map_paths", no_sampling)
+    with pytest.raises(ValueError, match="variance_tolerance"):
+        mixture_comparison(2, 0.3, COS, 256, 300, seed=7, variance_tolerance=tolerance)
 
 
 def test_riemann_comparison_structure():

@@ -406,16 +406,10 @@ def test_load_rejects_truncation(tmp_path):
 
 
 def test_bounds_suite_smoke():
-    reports = bounds_suite(
-        H_values=(0.2, 0.45),
-        q_values=(2,),
-        n_values=(8, 64, 512),
-        seed=0,
-        triples=2000,
-    )
+    reports = bounds_suite(seed=0)
     assert all(r.passed for r in reports), [r.summary_line() for r in reports]
-    # 3 H-level bounds + 2 q-indexed bounds per (H, q): 2 * (3 + 2) reports here
-    assert len(reports) == 10
+    # 3 H-level bounds per H + 2 q-indexed bounds per (H, q): 5 * 3 + 5 * 2 * 2
+    assert len(reports) == 35
     kinds = {
         "fbm-increment-covariance-bound",
         "fbm-eps-del-pointwise-bound",
@@ -428,6 +422,6 @@ def test_bounds_suite_smoke():
 
 
 def test_bounds_suite_deterministic():
-    a = bounds_suite(H_values=(0.3,), q_values=(2,), n_values=(8, 64), triples=500)
-    b = bounds_suite(H_values=(0.3,), q_values=(2,), n_values=(8, 64), triples=500)
+    a = bounds_suite(seed=3)
+    b = bounds_suite(seed=3)
     assert [r.statistic for r in a] == [r.statistic for r in b]

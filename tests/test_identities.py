@@ -132,3 +132,16 @@ def test_generator_gap_on_random_polynomials():
         }
         F = PolyRV(space, terms)
         assert generator_gap(F) <= 1e-10
+
+
+@pytest.mark.parametrize("instances", [0, -5, 5])
+def test_suite_needs_one_instance_per_identity(instances):
+    # with fewer instances than identities some identity goes unchecked
+    with pytest.raises(ValueError, match="instances"):
+        run_identity_suite(seed=0, instances=instances)
+
+
+def test_suite_caps_are_reported():
+    report = run_identity_suite(seed=0, instances=6)
+    assert report.extras["caps"] == {"max_dim": 4, "max_order": 3, "max_degree": 5}
+    assert all(cell["instances"] == 1 for cell in report.extras["per_identity"].values())

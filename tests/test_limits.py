@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import chaoslab.limits
 from chaoslab.limits import (
     MixtureSpec,
     berry_esseen_check,
@@ -73,10 +74,11 @@ def test_mixture_linear_weight_mean_conditional_variance():
 
 
 def test_mixture_shift_coupling():
-    # shift integral computed from the same path: for f = x, shift_order 0,
-    # shift = c * int B, whose correlation with S^2 = sigma^2 int B^2 is visible
+    # shift integral computed from the same path: for f = x^3 and q = 2,
+    # shift = c * int f''(B) = 6c int B, whose correlation with
+    # S^2 = sigma^2 int B^6 is visible
     spec = MixtureSpec(
-        2, 0.25, WeightFunction.polynomial(0.0, 1.0), n_fine=1024, shift_coefficient=0.25
+        2, 0.25, WeightFunction.polynomial(0.0, 0.0, 0.0, 1.0), n_fine=1024, shift_coefficient=0.25
     )
     sample = sample_mixture_limit(spec, 5000, seed=9)
     assert float(np.std(sample.shifts)) > 0
@@ -197,7 +199,7 @@ def _mixture_draw(m, seed, shifted=False):
 
 def test_cf_null_passes():
     sample = _mixture_draw(40_000, seed=19)
-    report = conditional_cf_test(sample.values, None, sample.conditional_variances)
+    report = conditional_cf_test(sample.values, sample.conditional_variances)
     assert report.passed, report.extras["cells"]
     assert report.statistic <= 4.0
 
@@ -210,41 +212,29 @@ def test_cf_detects_wrong_conditional_variance():
     fake = rng.normal(size=sample.values.size) * float(
         np.sqrt(sample.conditional_variances.mean())
     )
-    report = conditional_cf_test(fake, None, sample.conditional_variances)
+    report = conditional_cf_test(fake, sample.conditional_variances)
     assert not report.passed
     assert report.statistic > 8.0
 
 
 def test_cf_shift_support():
     sample = _mixture_draw(40_000, seed=25, shifted=True)
-    report = conditional_cf_test(
-        sample.values, None, sample.conditional_variances, shifts=sample.shifts
-    )
+    report = conditional_cf_test(sample.values, sample.conditional_variances, shifts=sample.shifts)
     assert report.passed
     # ignoring the shift must fail
-    report_wrong = conditional_cf_test(sample.values, None, sample.conditional_variances)
+    report_wrong = conditional_cf_test(sample.values, sample.conditional_variances)
     assert not report_wrong.passed
-
-
-def test_cf_zero_lambda_is_degenerate_zero():
-    sample = _mixture_draw(2000, seed=27)
-    report = conditional_cf_test(
-        sample.values, None, sample.conditional_variances, lambda_grid=(0.0,)
-    )
-    assert report.statistic == 0.0
 
 
 def test_cf_validation():
     with pytest.raises(ValueError):
-        conditional_cf_test([1.0, 2.0], None, [1.0])
+        conditional_cf_test([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
-        conditional_cf_test([1.0], None, [-1.0])
+        conditional_cf_test([1.0], [-1.0])
     with pytest.raises(ValueError):
-        conditional_cf_test([], None, [])
+        conditional_cf_test([], [])
     with pytest.raises(ValueError):
-        conditional_cf_test([1.0], None, [1.0], shifts=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        conditional_cf_test([1.0], {"bad": np.ones(3)}, [1.0])
+        conditional_cf_test([1.0], [1.0], shifts=[0.1, 0.2])
 
 
 # -- exact chaos moments and the fourth-moment theorem ------------------------------
@@ -355,25 +345,23 @@ def test_brownian_grid_resolves_the_boundary_layer():
 def test_brownian_example_small_n_moments():
     # at n = 4 the exact second moment is n/(2n+2) = 0.4, and the exact
     # orthogonality term is 2n/((n+2)(2n+3)) = 4/33
-    sink = {}
-    report = brownian_example_run(4, 4000, seed=1, resolution=2048, sample_sink=sink)
+    report, arrays = brownian_example_run(4, 4000, seed=1, resolution=2048)
     assert report.extras["condition_a_exact"] == pytest.approx(8.0 / 66.0, abs=1e-12)
-    second = float(np.mean(sink["f"] ** 2))
-    se = float(np.std(sink["f"] ** 2, ddof=1)) / math.sqrt(4000)
+    second = float(np.mean(arrays["f"] ** 2))
+    se = float(np.std(arrays["f"] ** 2, ddof=1)) / math.sqrt(4000)
     assert abs(second - 4.0 / 10.0) < 4 * se + 0.01
-    inner = float(np.mean(sink["inner"]))
-    se_inner = float(np.std(sink["inner"], ddof=1)) / math.sqrt(4000)
+    inner = float(np.mean(arrays["inner"]))
+    se_inner = float(np.std(arrays["inner"], ddof=1)) / math.sqrt(4000)
     assert abs(inner - 4.0 / 10.0) < 4 * se_inner + 0.01
-    assert set(sink) == {"f", "inner", "s2", "reference"}
-    assert sink["f"].shape == (4000,)
+    assert list(arrays) == ["f", "inner", "s2", "reference"]
+    assert arrays["f"].shape == (4000,)
 
 
 def test_brownian_example_reference_is_half_normal_product():
     # reference draw = W_1' Z / sqrt(2): mean 0, variance 1/2, and its law is
     # the normal product (KS distance ~ 0.11 from a matched Gaussian)
-    sink = {}
-    brownian_example_run(4, 20_000, seed=3, resolution=1024, sample_sink=sink)
-    ref = sink["reference"]
+    _, arrays = brownian_example_run(4, 20_000, seed=3, resolution=1024)
+    ref = arrays["reference"]
     assert abs(ref.mean()) < 4 * ref.std() / math.sqrt(ref.size)
     assert float(ref.var()) == pytest.approx(0.5, abs=0.03)
     rng = np.random.default_rng(31)
@@ -390,9 +378,19 @@ def test_brownian_example_validation():
         brownian_example_run(4, 0, seed=0)
 
 
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_brownian_example_rejects_resolution_below_two_before_sampling(monkeypatch, resolution):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating resolution")
+
+    monkeypatch.setattr(chaoslab.limits, "map_slabs", no_sampling)
+    with pytest.raises(ValueError, match="resolution"):
+        brownian_example_run(4, 10, seed=0, resolution=resolution)
+
+
 def test_brownian_example_deterministic():
-    a = brownian_example_run(8, 2000, seed=5, resolution=1024)
-    b = brownian_example_run(8, 2000, seed=5, resolution=1024)
+    a, _ = brownian_example_run(8, 2000, seed=5, resolution=1024)
+    b, _ = brownian_example_run(8, 2000, seed=5, resolution=1024)
     assert a.statistic == b.statistic
     assert a.extras["ks_statistic"] == b.extras["ks_statistic"]
 
@@ -407,11 +405,10 @@ BROWNIAN_PIN = "f422909eaaf64aea8f2a60a213ef4a0980c90950b47dc2424b15ae53b8c23109
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_brownian_example_bits_pinned_at_any_thread_count(monkeypatch, threads):
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    sink = {}
-    brownian_example_run(4, 700, seed=2, resolution=1024, sample_sink=sink)
+    _, arrays = brownian_example_run(4, 700, seed=2, resolution=1024)
     digest = hashlib.sha256()
     for key in ("f", "inner", "s2", "reference"):
-        digest.update(np.ascontiguousarray(sink[key]).tobytes())
+        digest.update(np.ascontiguousarray(arrays[key]).tobytes())
     assert digest.hexdigest() == BROWNIAN_PIN
 
 
@@ -434,7 +431,7 @@ BERRY_ESSEEN_PIN = "1c08408e49651c96904ff4e0c3ac5061aa1a2d1f6866b6245baa1641f662
 def test_mixture_limit_with_shift_bits_pinned_at_any_thread_count(monkeypatch, threads):
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
     cos = WeightFunction.cosine(1.0, 1.0)
-    spec = MixtureSpec(2, 0.25, cos, n_fine=1024, shift_coefficient=0.25, shift_order=2)
+    spec = MixtureSpec(2, 0.25, cos, n_fine=1024, shift_coefficient=0.25)
     sample = sample_mixture_limit(spec, 1500, seed=6)
     digest = _sha256(sample.values, sample.conditional_variances, sample.shifts)
     assert digest == MIXTURE_LIMIT_PIN

@@ -70,7 +70,7 @@ def test_contract_symmetrize_flag():
     g = _basis_tensor(space, 1, 1)
     plain = contract(f, g, 1)
     assert not plain.symmetric
-    sym = contract(f, g, 1, symmetrize=True)
+    sym = contract(f, g, 1).symmetrize()
     assert sym.symmetric
     np.testing.assert_allclose(
         sym.coeffs, 0.5 * (plain.coeffs + plain.coeffs.T), atol=1e-14
@@ -103,8 +103,8 @@ def test_order_cap_enforced():
 
 def test_zeros_and_basis_vector_helpers():
     space = GaussianSpace.standard(3)
-    z = SymTensor.zeros(space, 2)
-    assert z.order == 2 and not np.any(z.coeffs)
+    z = SymTensor(space, np.zeros((3, 3)))
+    assert z.order == 2 and not np.any(z.coeffs) and z.symmetric
     e = SymTensor(space, np.eye(3)[1])
     np.testing.assert_allclose(e.coeffs, [0.0, 1.0, 0.0])
     assert e.order == 1 and e.symmetric
