@@ -192,6 +192,8 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError("method must be 'cholesky' or 'circulant'")
     if not 0.0 < config["alpha"] < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
+    if not config["tolerance"] > 0.0:
+        raise ConfigError("tolerance must be positive")
     try:
         parse_weight(config["weight"])
     except ValueError as exc:

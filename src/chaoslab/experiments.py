@@ -33,7 +33,14 @@ import time
 import numpy as np
 
 from .fbm import FbmGrid, FbmPathBatch, map_paths
-from .limits import KS_ALPHA, MixtureSpec, conditional_cf_test, ks_two_sample, sample_mixture_limit
+from .limits import (
+    KS_ALPHA,
+    MIN_N_FINE,
+    MixtureSpec,
+    conditional_cf_test,
+    ks_two_sample,
+    sample_mixture_limit,
+)
 from .report import TestReport
 from .rng import derive_seed
 from .variations import classify_regime, full_variation, sigma_hq
@@ -91,6 +98,8 @@ def mixture_comparison(
         raise ValueError("m must be positive")
     if variance_tolerance is not None and not variance_tolerance > 0:
         raise ValueError(f"variance_tolerance must be positive, got {variance_tolerance}")
+    if n_fine < MIN_N_FINE:
+        raise ValueError(f"n_fine must be at least {MIN_N_FINE}")
     constants_normalization = constants_normalization or normalization
     regime = classify_regime(q, H)
     if regime.label not in ("mixed_clt", "critical_lower"):

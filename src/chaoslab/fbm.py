@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -33,7 +34,7 @@ import scipy.fft
 from scipy.linalg import cholesky, toeplitz
 
 from .report import TestReport
-from .rng import SLAB_ROWS, derive_seed, map_slabs
+from .rng import SLAB_ROWS, derive_seed, map_slabs, worker_count
 from .rng import normal_rows  # noqa: F401  (bound here for perfbench's tracer test)
 
 __all__ = [
@@ -65,6 +66,10 @@ BOUNDS_H = (0.1, 0.2, 0.3, 0.4, 0.45)
 BOUNDS_Q = (2, 3)
 BOUNDS_N = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 BOUNDS_TRIPLES = 10_000
+# the rho^q lag series is summed this many lags at a time; a power raised on
+# several threads is split into parts of at least POWER_PART elements
+SERIES_CHUNK = 1 << 22
+POWER_PART = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,43 @@ def signed_rho_power_sum(H: float, q: int, tol: float = 1e-12) -> float:
     return _rho_power_series(H, q, tol, signed=True)
 
 
+def _raise_in_place(x: np.ndarray, exponent, pool: ThreadPoolExecutor, threads: int) -> None:
+    """x ** exponent into x, in up to ``threads`` contiguous parts on ``pool``.
+
+    Uses the ufunc that numpy's ``**`` operator picks for ``exponent``
+    (``square`` for the int 2, ``sqrt`` for the float 0.5, ``power``
+    otherwise), so every element gets the bits ``x ** exponent`` gives it,
+    whatever the split.  Parts are at least ``POWER_PART`` elements long.
+    """
+    if type(exponent) is int and exponent == 2:
+        ufunc, args = np.square, ()
+    elif type(exponent) is float and exponent == 0.5:
+        ufunc, args = np.sqrt, ()
+    else:
+        ufunc, args = np.power, (exponent,)
+
+    def run(lo: int, hi: int) -> None:
+        ufunc(x[lo:hi], *args, out=x[lo:hi])
+
+    parts = max(1, min(threads, len(x) // POWER_PART))
+    if parts == 1:
+        run(0, len(x))
+        return
+    bounds = [len(x) * i // parts for i in range(parts + 1)]
+    for _ in pool.map(run, bounds[:-1], bounds[1:]):
+        pass
+
+
 def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
+    """1 + 2 sum_{r=1}^{R} rho_H(r)^q (or |rho_H(r)|^q), R from the tail bound.
+
+    Lags are summed in chunks of ``SERIES_CHUNK``, each chunk with one
+    ``np.sum`` and added to the total in order.  Each chunk raises k^{2H}
+    once per lag k = lo-1 .. hi and forms rho from neighbouring powers in
+    ``rho``'s own order of operations, all in place in two chunk-sized
+    arrays; the powers run on ``rng.worker_count()`` threads.  The result
+    has the bits of summing ``rho(H, lags) ** q`` chunk by chunk.
+    """
     H = _check_hurst(H)
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -194,13 +235,24 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
             )
     # chunked, fixed-order summation: bounded memory, deterministic result
     total = 0.0
-    chunk = 1 << 22
-    for lo in range(1, R + 1, chunk):
-        lags = np.arange(lo, min(lo + chunk, R + 1))
-        powers = np.asarray(rho(H, lags)) ** q
-        if not signed:
-            powers = np.abs(powers)
-        total += float(np.sum(powers))
+    threads = worker_count()
+    values = np.empty(min(SERIES_CHUNK, R))
+    with ThreadPoolExecutor(threads) as pool:
+        for lo in range(1, R + 1, SERIES_CHUNK):
+            hi = min(lo + SERIES_CHUNK, R + 1)
+            # k^{2H} for k = lo-1 .. hi; lag k needs those at k-1, k, k+1
+            powers = np.arange(lo - 1, hi + 1, dtype=float)
+            _raise_in_place(powers, 2 * H, pool, threads)
+            terms = values[: hi - lo]
+            np.multiply(powers[1:-1], 2.0, out=terms)
+            np.subtract(powers[2:], terms, out=terms)
+            np.add(terms, powers[:-2], out=terms)
+            np.multiply(terms, 0.5, out=terms)  # rho(H, k), as rho orders it
+            del powers  # the next chunk's powers take its place
+            _raise_in_place(terms, q, pool, threads)
+            if not signed:
+                np.abs(terms, out=terms)
+            total += float(np.sum(terms))
     return 1.0 + 2.0 * total
 
 

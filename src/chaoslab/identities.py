@@ -266,12 +266,14 @@ def run_identity_suite(
     across the identities.  Instances draw spaces of dimension at most
     ``MAX_DIM``, fields of order at most ``MAX_ORDER`` and polynomials of
     degree at most ``MAX_DEGREE``.  The verdict is pass iff every gap is
-    within ``tolerance``.
+    within ``tolerance``, which must be positive.
     """
     if instances < len(IDENTITIES):
         raise ValueError(
             f"instances must be >= {len(IDENTITIES)} (one per identity), got {instances}"
         )
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x1DE9)))
     per = {name: instances // len(IDENTITIES) for name in IDENTITIES}
     for name in IDENTITIES[: instances % len(IDENTITIES)]:

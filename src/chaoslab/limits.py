@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import matmul_toeplitz, toeplitz
+from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 from .fbm import FbmGrid, FbmPathBatch, map_paths, rho
@@ -61,10 +61,12 @@ __all__ = [
 
 CHAOS2_DENSE_MAX_N = 4096
 CHAOS2_MAX_N = 1 << 16
+CHAOS2_BLOCK = 256  # rows of M per FFT block beyond CHAOS2_DENSE_MAX_N
 KS_ALPHA = 0.01
 KOLMOGOROV_TERMS = 100  # terms of the asymptotic Kolmogorov tail series
 CF_LAMBDAS = (0.5, 1.0, 2.0)
 CF_THRESHOLD = 4.0  # in Monte Carlo standard errors
+MIN_N_FINE = 1024  # finest grid the limit sampler accepts
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,8 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
     f(B_{k/n_fine})^2 (left-endpoint Riemann sum) and, if configured, the
     shift integral; the value is shift + S * Z with a fresh standard normal Z.
     """
-    if spec.n_fine < 1024:
-        raise ValueError("n_fine must be at least 1024")
+    if spec.n_fine < MIN_N_FINE:
+        raise ValueError(f"n_fine must be at least {MIN_N_FINE}")
     if m < 0:
         raise ValueError("m must be non-negative")
     sigma = spec.resolved_sigma()
@@ -250,7 +252,12 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     E[G^4] = (12 tr(M^2)^2 + 48 tr(M^4))/n^2, so the kurtosis of the
     variance-normalized statistic is normalized_m4 = 3 + 12 tr(M^4)/tr(M^2)^2.
     tr(M^2) is a lag sum; tr(M^4) = ||M^2||_F^2 is computed densely for
-    n <= 4096 and by blocked Toeplitz multiplication beyond.
+    n <= 4096 (M^2 squared in place, after M is freed) and by blocked
+    Toeplitz multiplication beyond: ``CHAOS2_BLOCK`` rows of M at a time,
+    each a window of one mirrored lag vector, are multiplied by M with
+    row-wise FFTs against one embedding spectrum, so no n x n array is
+    built.  Each block's squares are summed in the order of the (n, block)
+    product M @ columns, and the blocks in order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -264,17 +271,29 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     if n <= CHAOS2_DENSE_MAX_N:
         dense = toeplitz(r)
         square = dense @ dense
-        tr_m4 = float(np.sum(square**2))
+        del dense
+        np.square(square, out=square)
+        tr_m4 = float(np.sum(square))
     else:
+        # row i of M is mirrored[n-1-i : 2n-1-i]; M is symmetric, so rows
+        # lo..hi-1 are its columns lo..hi-1, and M @ columns is a circulant
+        # product of length 2n-1 taken along each row
+        mirrored = np.concatenate([r[:0:-1], r])
+        windows = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
+        length = 2 * n - 1
+        workers = worker_count()
+        spectrum = scipy.fft.rfft(np.concatenate([r, r[:0:-1]]), workers=workers)
         tr_m4 = 0.0
-        block = 256
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            cols = np.zeros((n, hi - lo))
-            for offset in range(hi - lo):
-                cols[:, offset] = r[np.abs(lags - (lo + offset))]
-            product = matmul_toeplitz((r, r), cols, workers=worker_count())
-            tr_m4 += float(np.sum(product**2))
+        for lo in range(0, n, CHAOS2_BLOCK):
+            rows = windows[lo : lo + CHAOS2_BLOCK]
+            product = scipy.fft.irfft(
+                spectrum * scipy.fft.rfft(rows, n=length, axis=1, workers=workers),
+                n=length,
+                axis=1,
+                workers=workers,
+            )[:, :n]
+            # the sum runs over the (n, block) array of M @ columns, in C order
+            tr_m4 += float(np.sum(np.ascontiguousarray(product.T) ** 2))
 
     variance = 2.0 * tr_m2 / n
     fourth = (12.0 * tr_m2**2 + 48.0 * tr_m4) / n**2

@@ -307,6 +307,8 @@ def _run_with_config(tmp_path, argv, config):
         (["identities"], {"instances": -5}, "instances"),
         (["example-brownian", "--n", "4", "--m", "8"], {"resolution": 1}, "resolution"),
         (["example-brownian", "--n", "4", "--m", "8"], {"resolution": 0}, "resolution"),
+        (["identities"], {"tolerance": -1}, "tolerance"),
+        (["identities"], {"tolerance": 0}, "tolerance"),
     ],
 )
 def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, argv, config, key):

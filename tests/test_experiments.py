@@ -127,6 +127,15 @@ def test_mixture_comparison_rejects_nonpositive_variance_tolerance_before_sampli
         mixture_comparison(2, 0.3, COS, 256, 300, seed=7, variance_tolerance=tolerance)
 
 
+def test_mixture_comparison_rejects_a_coarse_n_fine_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating n_fine")
+
+    monkeypatch.setattr(chaoslab.experiments, "map_paths", no_sampling)
+    with pytest.raises(ValueError, match="n_fine"):
+        mixture_comparison(2, 0.3, COS, 256, 300, seed=7, n_fine=512)
+
+
 def test_riemann_comparison_structure():
     report, arrays = riemann_comparison(2, 0.1, X4, (64, 256), 300, seed=1)
     assert report.extras["regime"] == "lower"

@@ -4,6 +4,8 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -131,6 +133,72 @@ def test_rho_power_sums():
     loose = signed_rho_power_sum(0.3, 2, tol=1e-8)
     tight = signed_rho_power_sum(0.3, 2, tol=1e-12)
     assert abs(loose - tight) <= 2e-8
+
+
+# float reprs of (signed, absolute) rho^q series at tol 1e-10, recorded while
+# each lag raised its own three powers: perfbench's sigma points, and q = 3
+# at H = 0.3, where rho changes sign and the two series differ
+RHO_SERIES_PINS = {
+    (2, 0.3): ("1.1251955053270797", "1.1251955053270797"),
+    (2, 0.4): ("1.038803020130259", "1.038803020130259"),
+    (2, 0.47): ("1.0042345141748998", "1.0042345141748998"),
+    (3, 0.5): ("1.0", "1.0"),
+    (3, 0.62): ("1.014939104322052", "1.014939104322052"),
+    (4, 0.7): ("1.0258136324829423", "1.0258136324829423"),
+    (3, 0.3): ("0.9713107840154244", "1.0286892159845755"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_rho_power_sums_bits_pinned_at_any_thread_count(monkeypatch, threads):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    for (q, H), pinned in RHO_SERIES_PINS.items():
+        values = (signed_rho_power_sum(H, q, 1e-10), abs_rho_power_sum(H, q, 1e-10))
+        assert tuple(repr(v) for v in values) == pinned, (q, H)
+
+
+@pytest.mark.parametrize("exponent", [2, 3, 0.5, 2 * 0.47, 1.4])
+def test_raise_in_place_matches_the_power_operator_bit_for_bit(exponent):
+    # numpy's ** picks square for the int 2 and sqrt for the float 0.5; the
+    # split into parts on the pool must not change any element
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, 5 * chaoslab.fbm.POWER_PART + 7)
+    if isinstance(exponent, float):
+        x = np.abs(x)
+    expected = x**exponent
+    with ThreadPoolExecutor(3) as pool:
+        for threads in (1, 3):
+            y = x.copy()
+            chaoslab.fbm._raise_in_place(y, exponent, pool, threads)
+            assert y.tobytes() == expected.tobytes(), threads
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_rho_power_series_matches_the_chunked_rho_loop(monkeypatch, signed):
+    # short chunks that do not divide R = 1024 (the shortest truncation, taken
+    # at this tolerance) and powers split across three threads
+    monkeypatch.setattr(chaoslab.fbm, "SERIES_CHUNK", 100)
+    monkeypatch.setattr(chaoslab.fbm, "POWER_PART", 16)
+    monkeypatch.setenv("CHAOSLAB_THREADS", "3")
+    H, q = 0.3, 3
+    total = 0.0
+    for lo in range(1, 1025, 100):
+        powers = rho(H, np.arange(lo, min(lo + 100, 1025))) ** q
+        total += float(np.sum(powers if signed else np.abs(powers)))
+    expected = 1.0 + 2.0 * total
+    series = signed_rho_power_sum if signed else abs_rho_power_sum
+    assert series(H, q, 1e-6).hex() == expected.hex()
+
+
+def test_rho_power_sum_peak_memory_is_two_chunks():
+    # the powers and the terms of one chunk, each 2**22 doubles
+    chunk_bytes = 8 * chaoslab.fbm.SERIES_CHUNK
+    tracemalloc.start()
+    try:
+        signed_rho_power_sum(0.47, 2, 1e-10)  # two chunks of lags
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * chunk_bytes + 2**20
 
 
 # -- grids and batches ---------------------------------------------------------

@@ -141,6 +141,14 @@ def test_suite_needs_one_instance_per_identity(instances):
         run_identity_suite(seed=0, instances=instances)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+def test_suite_rejects_a_nonpositive_tolerance(tolerance):
+    # no gap is ever within a negative tolerance, which would read as a
+    # failed identity rather than a bad setting
+    with pytest.raises(ValueError, match="tolerance"):
+        run_identity_suite(seed=0, instances=6, tolerance=tolerance)
+
+
 def test_suite_caps_are_reported():
     report = run_identity_suite(seed=0, instances=6)
     assert report.extras["caps"] == {"max_dim": 4, "max_order": 3, "max_degree": 5}

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,36 @@ def test_chaos2_dense_blocked_agree(monkeypatch):
     blocked = chaos2_fourth_moment_exact(0.3, n)
     assert blocked.normalized_m4 == pytest.approx(dense.normalized_m4, rel=1e-10)
     assert blocked.variance == pytest.approx(dense.variance, rel=1e-12)
+
+
+# float reprs of (variance, fourth_moment, normalized_m4), recorded while the
+# blocked route built each column by indexing and multiplied with
+# scipy.linalg.matmul_toeplitz; n = 2048 is dense, 4097 and 4160 are blocked
+CHAOS2_PINS = {
+    (0.3, 2048): ("2.2502499462069827", "15.23032463413277", "3.0077908957156967"),
+    (0.3, 4097): ("2.2503204863543353", "15.211549013790663", "3.003894621766619"),
+    (0.62, 4160): ("2.265188394157056", "15.433062819255747", "3.0077620010075488"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_chaos2_bits_pinned_at_any_thread_count(monkeypatch, threads):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    for (H, n), pinned in CHAOS2_PINS.items():
+        moments = chaos2_fourth_moment_exact(H, n)
+        assert tuple(repr(v) for v in moments) == pinned, (H, n)
+
+
+@pytest.mark.parametrize("n, limit", [(2048, 2 * 8 * 2048**2 + 2**20), (4160, 64 * 2**20)])
+def test_chaos2_peak_memory(n, limit):
+    # dense: M and M^2 only, squared in place; blocked: no n x n array at all
+    tracemalloc.start()
+    try:
+        chaos2_fourth_moment_exact(0.3, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 def test_chaos2_normalized_m4_decreases_toward_gaussian():
