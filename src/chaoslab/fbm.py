@@ -248,7 +248,7 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
             np.subtract(powers[2:], terms, out=terms)
             np.add(terms, powers[:-2], out=terms)
             np.multiply(terms, 0.5, out=terms)  # rho(H, k), as rho orders it
-            del powers  # the next chunk's powers take its place
+            del powers  # freed before the next chunk allocates its own
             _raise_in_place(terms, q, pool, threads)
             if not signed:
                 np.abs(terms, out=terms)
