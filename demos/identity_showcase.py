@@ -24,7 +24,13 @@ from chaoslab.identities import (
     product_gap,
     run_identity_suite,
 )
-from chaoslab.malliavin import PolyTensor, derivative, multiple_integral, skorohod
+from chaoslab.malliavin import (
+    PolyTensor,
+    derivative,
+    multiple_integral,
+    pairwise_inner,
+    skorohod,
+)
 from chaoslab.polyrv import wick_expectation
 from chaoslab.space import GaussianSpace
 from chaoslab.tensors import SymTensor, contract
@@ -50,7 +56,7 @@ def main() -> None:
     u = PolyTensor(space, [x1, x0 * x0])
     lhs = wick_expectation(F * skorohod(u, 1))
     dF = derivative(F, 1)
-    rhs = wick_expectation(_inner(dF, u))
+    rhs = wick_expectation(pairwise_inner(dF, u))
     print("duality on F = X0^2 X1, u = (X1, X0^2):")
     print(f"  E[F delta(u)]  = {lhs:.12f}")
     print(f"  E[<DF, u>]     = {rhs:.12f}")
@@ -89,16 +95,6 @@ def main() -> None:
             f"{name:<14} {stats['instances']:>9} "
             f"{stats['max_gap']:>12.3e} {stats['failures']:>9}"
         )
-
-
-def _inner(a: PolyTensor, b: PolyTensor):
-    """<a, b> for order-1 fields: entrywise sum (tensor slots hold
-    orthonormal coordinates, so the metric is the identity)."""
-    total = None
-    for i in range(a.space.dim):
-        term = a.entries[i] * b.entries[i]
-        total = term if total is None else total + term
-    return total
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ import numpy as np
 
 from .experiments import mixture_comparison
 from .fbm import FbmGrid, bounds_suite, rho, sample_paths, save_paths
+from .hermite import NORMALIZATIONS
 from .identities import run_identity_suite
 from .limits import berry_esseen_check, brownian_example_run
 from .report import TestReport, report_payload, version_string, write_json
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--m", type=int, default=None, help="number of Monte Carlo paths")
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--weight", type=str, default=None, help="poly:<c0,c1,...>|cos:<a,b>|expq:<c>")
-        sub.add_argument("--normalization", choices=("monic", "scaled"), default=None)
+        sub.add_argument("--normalization", choices=NORMALIZATIONS, default=None)
         sub.add_argument("--method", choices=("cholesky", "circulant"), default=None)
         sub.add_argument("--out", type=str, default=None, help="output directory")
         sub.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
@@ -186,7 +187,7 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError("m must be >= 0")
     if any(v <= 0 for v in config["n"]):
         raise ConfigError("n values must be positive")
-    if config["normalization"] not in ("monic", "scaled"):
+    if config["normalization"] not in NORMALIZATIONS:
         raise ConfigError("normalization must be 'monic' or 'scaled'")
     if config["method"] not in ("auto", "cholesky", "circulant"):
         raise ConfigError("method must be 'cholesky' or 'circulant'")

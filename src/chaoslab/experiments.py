@@ -33,6 +33,7 @@ import time
 import numpy as np
 
 from .fbm import FbmGrid, FbmPathBatch, map_paths
+from .hermite import normalization_scale
 from .limits import (
     KS_ALPHA,
     MIN_N_FINE,
@@ -53,15 +54,6 @@ __all__ = ["mixture_comparison", "riemann_comparison"]
 PATH_CHUNK = 2048
 # riemann_comparison passes when its final relative L2 distance is at most this
 RIEMANN_TARGET_TOLERANCE = 0.10
-
-
-def _constant_scale(normalization: str, q: int) -> float:
-    """Factor dividing monic-convention constants under the given convention."""
-    if normalization == "monic":
-        return 1.0
-    if normalization == "scaled":
-        return float(math.factorial(q))
-    raise ValueError(f"unknown normalization {normalization!r}")
 
 
 def mixture_comparison(
@@ -108,7 +100,7 @@ def mixture_comparison(
             f"critical point; got regime {regime.label!r} for q={q}, H={H}"
         )
 
-    const_scale = _constant_scale(constants_normalization, q)
+    const_scale = normalization_scale(q, constants_normalization)
     sigma_sq = sigma_hq(H, q).sigma_sq / const_scale**2
     shift_coefficient = 0.0
     if regime.label == "critical_lower":

@@ -2,8 +2,8 @@
 
 Covariance side: closed forms for the increment autocorrelation ``rho``, the
 path covariance ``cov_rh``, and the grid inner products between indicator
-elements of the Cameron–Martin-type Hilbert space (``eps_del``, ``alpha``,
-``beta``) that drive every weighted-variation computation.
+elements of the Cameron–Martin-type Hilbert space (``eps_del`` and its
+diagonal ``alpha_diag``) that drive every weighted-variation computation.
 
 Sampling side: exact Gaussian sampling of increments, either by Cholesky
 factorization of the covariance (small n) or by circulant embedding of the
@@ -21,7 +21,6 @@ n^{-2H}.
 
 from __future__ import annotations
 
-import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,9 +40,7 @@ __all__ = [
     "FbmGrid",
     "FbmPathBatch",
     "abs_rho_power_sum",
-    "alpha",
     "alpha_diag",
-    "beta",
     "bounds_suite",
     "cov_rh",
     "del_norm",
@@ -123,33 +120,14 @@ def eps_del(H: float, n: int, t, k):
     return value if value.ndim else float(value)
 
 
-def alpha(H: float, n: int, k, j):
-    """<eps_{k/n}, del_{j/n}>, i.e. eps_del evaluated at grid time t = k/n."""
-    k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr < 0) or np.any(k_arr > n - 1):
-        raise ValueError("index out of range")
-    return eps_del(H, n, k_arr / n, j)
-
-
 def alpha_diag(H: float, n: int, k):
-    """alpha(k, k) = (2 n^{2H})^{-1} ((k+1)^{2H} - k^{2H} - 1)."""
+    """alpha_{k,k} = <eps_{k/n}, del_{k/n}> = (2 n^{2H})^{-1} ((k+1)^{2H} - k^{2H} - 1)."""
     H = _check_hurst(H)
     k = np.asarray(k, dtype=float)
     if np.any(k < 0) or np.any(k > n - 1):
         raise ValueError("index out of range")
     h2 = 2 * H
     value = ((k + 1.0) ** h2 - k**h2 - 1.0) / (2.0 * float(n) ** h2)
-    return value if value.ndim else float(value)
-
-
-def beta(H: float, n: int, k, j):
-    """<del_{k/n}, del_{j/n}> = n^{-2H} rho_H(k - j)."""
-    H = _check_hurst(H)
-    k = np.asarray(k, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if np.any(k < 0) or np.any(k > n - 1) or np.any(j < 0) or np.any(j > n - 1):
-        raise ValueError("index out of range")
-    value = float(n) ** (-2 * H) * np.asarray(rho(H, k - j))
     return value if value.ndim else float(value)
 
 
@@ -273,11 +251,6 @@ class FbmGrid:
         if int(self.n) < 1:
             raise ValueError(f"need n >= 1 increments, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def times(self) -> np.ndarray:
-        """Level times k/n for k = 0..n."""
-        return np.arange(self.n + 1) / self.n
 
     def increment_covariance(self) -> np.ndarray:
         """Dense n x n covariance of the increments (Toeplitz in the lag)."""

@@ -20,11 +20,13 @@ from numpy.polynomial import hermite_e
 NORMALIZATIONS = ("monic", "scaled")
 
 
-def _check_normalization(normalization: str) -> None:
+def normalization_scale(q: int, normalization: str) -> float:
+    """The divisor taking monic He_q to ``normalization``: 1.0 (monic) or q! (scaled)."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(
             f"unknown normalization {normalization!r}; expected one of {NORMALIZATIONS}"
         )
+    return float(math.factorial(q)) if normalization == "scaled" else 1.0
 
 
 def hermite_eval(q: int, x, normalization: str = "monic"):
@@ -34,12 +36,12 @@ def hermite_eval(q: int, x, normalization: str = "monic"):
     """
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
-    _check_normalization(normalization)
+    scale = normalization_scale(q, normalization)
     basis = np.zeros(q + 1)
     basis[q] = 1.0
     out = hermite_e.hermeval(np.asarray(x, dtype=float), basis)
-    if normalization == "scaled":
-        out = out / math.factorial(q)
+    if scale != 1.0:
+        out = out / scale
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out)
     return out

@@ -3,6 +3,10 @@
 Conventions (all on the orthonormal coordinates Z_0..Z_{d−1} of a
 :class:`~chaoslab.space.GaussianSpace`):
 
+* A :class:`PolyTensor` holds its entries as a numpy object array of
+  :class:`~chaoslab.polyrv.PolyRV` of shape (d,)*order.  Every operator is an
+  array expression: numpy applies the PolyRV operation entry by entry, in C
+  order, and a sum over slots is a left fold in C order of the summed slots.
 * Derivative ``D`` prepends a slot:  (D u)[a, idx] = ∂_a u[idx].  D^k F is then
   automatically symmetric in its k slots (partial derivatives commute).
 * Divergence ``δ`` contracts the *last* slot:
@@ -36,7 +40,11 @@ from .tensors import SymTensor
 
 
 class PolyTensor:
-    """Tensor of PolyRV entries with slots indexed by orthonormal coordinates."""
+    """Tensor of PolyRV entries with slots indexed by orthonormal coordinates.
+
+    ``entries`` is a numpy object array of shape (d,)*order; arithmetic on it
+    applies the PolyRV operation entry by entry, in C order.
+    """
 
     __slots__ = ("space", "entries")
 
@@ -58,28 +66,18 @@ class PolyTensor:
     def from_constant_tensor(cls, tensor: SymTensor) -> "PolyTensor":
         """Deterministic kernel, transformed from the raw basis to ON coordinates."""
         space = tensor.space
-        coeffs = _to_onb_coeffs(tensor)
-        arr = np.empty(coeffs.shape, dtype=object)
-        for idx in _iter_shape(coeffs.shape):
-            arr[idx] = PolyRV.constant(space, float(coeffs[idx]))
-        return cls(space, arr)
+        return cls(space, _each(lambda c: PolyRV.constant(space, c), _to_onb_coeffs(tensor)))
 
     def map(self, fn) -> "PolyTensor":
-        out = np.empty(self.entries.shape, dtype=object)
-        for idx in _iter_shape(self.entries.shape):
-            out[idx] = fn(self.entries[idx])
-        return PolyTensor(self.space, out)
+        return PolyTensor(self.space, _each(fn, self.entries))
 
     def __add__(self, other: "PolyTensor") -> "PolyTensor":
         if self.entries.shape != other.entries.shape:
             raise ValueError("order mismatch")
-        out = np.empty(self.entries.shape, dtype=object)
-        for idx in _iter_shape(self.entries.shape):
-            out[idx] = self.entries[idx] + other.entries[idx]
-        return PolyTensor(self.space, out)
+        return PolyTensor(self.space, self.entries + other.entries)
 
     def scale(self, c: float) -> "PolyTensor":
-        return self.map(lambda p: p * c)
+        return PolyTensor(self.space, self.entries * c)
 
     def symmetrize(self) -> "PolyTensor":
         """Average entries over all slot permutations."""
@@ -87,28 +85,20 @@ class PolyTensor:
         if q <= 1:
             return self
         perms = list(itertools.permutations(range(q)))
-        out = np.empty(self.entries.shape, dtype=object)
-        for idx in _iter_shape(self.entries.shape):
-            acc = PolyRV.constant(self.space, 0.0)
-            for perm in perms:
-                acc = acc + self.entries[tuple(idx[p] for p in perm)]
-            out[idx] = acc * (1.0 / len(perms))
-        return PolyTensor(self.space, out)
+        # transpose by the inverse permutation: entry idx reads entries[idx∘perm]
+        views = [np.transpose(self.entries, np.argsort(perm)) for perm in perms]
+        return PolyTensor(self.space, np.add.reduce(np.stack(views)) * (1.0 / len(perms)))
 
     def max_abs_coeff(self) -> float:
-        worst = 0.0
-        for idx in _iter_shape(self.entries.shape):
-            worst = max(worst, self.entries[idx].max_abs_coeff())
-        return worst
+        return max(0.0, *(e.max_abs_coeff() for e in self.entries.flat))
 
     def __repr__(self):
         return f"PolyTensor(dim={self.space.dim}, order={self.order})"
 
 
-def _iter_shape(shape: tuple[int, ...]):
-    if shape == ():
-        return [()]
-    return np.ndindex(*shape)
+def _each(fn, *arrays):
+    """Apply ``fn`` entry by entry over broadcast object arrays."""
+    return np.frompyfunc(fn, len(arrays), 1)(*arrays)
 
 
 def _to_onb_coeffs(tensor: SymTensor) -> np.ndarray:
@@ -131,10 +121,7 @@ def derivative(F: PolyRV | PolyTensor, k: int = 1) -> PolyTensor:
     """k-fold Malliavin derivative; new slots are prepended."""
     if k < 1:
         raise ValueError("derivative order k must be >= 1")
-    if isinstance(F, PolyRV):
-        current = PolyTensor(F.space, np.asarray(F, dtype=object))
-    else:
-        current = F
+    current = PolyTensor(F.space, F) if isinstance(F, PolyRV) else F
     for _ in range(k):
         current = _derivative_once(current)
     return current
@@ -142,12 +129,8 @@ def derivative(F: PolyRV | PolyTensor, k: int = 1) -> PolyTensor:
 
 def _derivative_once(u: PolyTensor) -> PolyTensor:
     d = u.space.dim
-    out = np.empty((d,) + u.entries.shape, dtype=object)
-    for idx in _iter_shape(u.entries.shape):
-        entry = u.entries[idx]
-        for a in range(d):
-            out[(a,) + idx] = entry.diff(a)
-    return PolyTensor(u.space, out)
+    slots = np.arange(d).reshape((d,) + (1,) * u.order)
+    return PolyTensor(u.space, _each(PolyRV.diff, u.entries, slots))
 
 
 # -- divergence ---------------------------------------------------------------
@@ -182,18 +165,12 @@ def skorohod(u: PolyTensor | SymTensor, times: int | None = None) -> PolyRV | Po
 
 
 def _skorohod_once(u: PolyTensor) -> PolyTensor:
-    space = u.space
-    d = space.dim
-    out_shape = u.entries.shape[:-1]
-    out = np.empty(out_shape, dtype=object)
-    coords = [PolyRV.coordinate(space, b) for b in range(d)]
-    for idx in _iter_shape(out_shape):
-        acc = PolyRV.constant(space, 0.0)
-        for b in range(d):
-            entry = u.entries[idx + (b,)]
-            acc = acc + entry * coords[b] - entry.diff(b)
-        out[idx] = acc
-    return PolyTensor(space, out)
+    # (acc + e·Z_b) − ∂_b e, in this order: coefficient sums round differently
+    # when regrouped, and 0 + e·Z_b is e·Z_b with its terms unchanged
+    acc = 0
+    for b, entry in enumerate(np.moveaxis(u.entries, -1, 0)):
+        acc = acc + entry * PolyRV.coordinate(u.space, b) - _each(PolyRV.diff, entry, b)
+    return PolyTensor(u.space, acc)
 
 
 # -- pairings -----------------------------------------------------------------
@@ -203,10 +180,7 @@ def pairwise_inner(a: PolyTensor, b: PolyTensor) -> PolyRV:
     """Full inner product over all slots (ON coordinates, identity metric)."""
     if a.entries.shape != b.entries.shape:
         raise ValueError("order mismatch in tensor pairing")
-    acc = PolyRV.constant(a.space, 0.0)
-    for idx in _iter_shape(a.entries.shape):
-        acc = acc + a.entries[idx] * b.entries[idx]
-    return acc
+    return np.add.reduce(np.ravel(a.entries * b.entries))
 
 
 def partial_inner(a: PolyTensor, b: PolyTensor, r: int) -> PolyTensor:
@@ -218,16 +192,10 @@ def partial_inner(a: PolyTensor, b: PolyTensor, r: int) -> PolyTensor:
         raise ValueError("partial_inner pairs the whole first argument")
     if r > b.order:
         raise ValueError("contraction order exceeds tensor order")
-    space = a.space
-    d = space.dim
     out_shape = b.entries.shape[: b.order - r]
-    out = np.empty(out_shape, dtype=object)
-    for idx in _iter_shape(out_shape):
-        acc = PolyRV.constant(space, 0.0)
-        for jdx in itertools.product(range(d), repeat=r):
-            acc = acc + a.entries[jdx] * b.entries[idx + jdx]
-        out[idx] = acc
-    return PolyTensor(space, out)
+    # a stays the left factor: a PolyRV product's term order follows its operands
+    products = np.reshape(a.entries * b.entries, out_shape + (-1,))
+    return PolyTensor(a.space, np.add.reduce(products, axis=-1))
 
 
 # -- multiple Wiener–Itô integral ----------------------------------------------

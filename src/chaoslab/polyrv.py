@@ -14,7 +14,6 @@ that).
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 PRUNE_TOL = 1e-14
@@ -111,9 +110,6 @@ class PolyRV:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, PolyRV) else PolyRV.constant(self.space, -other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, PolyRV):

@@ -18,10 +18,6 @@ MAX_ORDER = 6
 _MAX_DENSE = 1 << 24  # guard on d**q dense storage
 
 
-def _dense_shape(dim: int, order: int) -> tuple[int, ...]:
-    return (dim,) * order
-
-
 class SymTensor:
     """Order-q tensor over a space's raw basis (dense storage)."""
 
@@ -33,7 +29,7 @@ class SymTensor:
         if q > MAX_ORDER:
             raise ValueError(f"tensor order {q} exceeds cap {MAX_ORDER}")
         d = space.dim
-        if order_arr.shape != _dense_shape(d, q):
+        if order_arr.shape != (d,) * q:
             raise ValueError(
                 f"coefficient shape {order_arr.shape} does not match dimension {d}, order {q}"
             )
@@ -66,21 +62,6 @@ class SymTensor:
         for perm in perms:
             acc += np.transpose(self.coeffs, perm)
         return SymTensor(self.space, acc / len(perms), symmetric=True)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._check_compatible(other, self.order)
-        return SymTensor(
-            self.space,
-            self.coeffs + other.coeffs,
-            symmetric=self.symmetric and other.symmetric,
-        )
-
-    def __mul__(self, scalar: float) -> "SymTensor":
-        return SymTensor(self.space, self.coeffs * float(scalar), symmetric=self.symmetric)
-
-    __rmul__ = __mul__
 
     def _check_compatible(self, other: "SymTensor", r: int) -> None:
         if not self.space.same_as(other.space):

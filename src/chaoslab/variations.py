@@ -27,7 +27,7 @@ import numpy as np
 import scipy.fft
 
 from .fbm import FbmPathBatch, alpha_diag, del_norm, rho, signed_rho_power_sum
-from .hermite import NORMALIZATIONS, hermite_eval
+from .hermite import hermite_eval, normalization_scale
 from .weights import WeightFunction
 
 __all__ = [
@@ -46,12 +46,6 @@ __all__ = [
 REGIME_BOUNDARY_TOL = 1e-12
 A_N_LAG_CUTOFF = 1e-14
 A_N_DIRECT_MAX_LAGS = 64
-
-
-def _check_normalization(normalization: str) -> str:
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
-    return normalization
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,6 @@ def weighted_variation(
     normalization: str = "monic",
 ) -> VariationResult:
     """Per-path G_n; no renormalization and no correction are applied here."""
-    _check_normalization(normalization)
     if q < 1:
         raise ValueError("q must be >= 1")
     grid = batch.grid
@@ -255,11 +248,8 @@ def _correction(
 
     c_q = (-1)^q / 2^q under monic normalization, divided by q! under scaled.
     """
-    _check_normalization(normalization)
     grid = batch.grid
-    c_q = (-1.0) ** q / 2.0**q
-    if normalization == "scaled":
-        c_q /= math.factorial(q)
+    c_q = (-1.0) ** q / 2.0**q / normalization_scale(q, normalization)
     deriv_sums = _weight_values(batch, f, q).sum(axis=1)
     scale = c_q * float(grid.n) ** (-0.5 - q * grid.hurst)
     # sum / n is what np.mean(f^(q), axis=1) computes, bit for bit
@@ -326,16 +316,13 @@ def decompose_gn(
     component is divided by q!.  The components sum to G_n exactly (an
     algebraic identity; residuals are floating-point only).
     """
-    _check_normalization(normalization)
     grid = batch.grid
     n, H = grid.n, grid.hurst
     levels = batch.levels_at_increment_start()
     increments = batch.increments
     alphas = np.asarray(alpha_diag(H, n, np.arange(n)))
     dnorm = del_norm(H, n)
-    outer_scale = float(n) ** (q * H - 0.5)
-    if normalization == "scaled":
-        outer_scale /= math.factorial(q)
+    outer_scale = float(n) ** (q * H - 0.5) / normalization_scale(q, normalization)
 
     components: dict[str, np.ndarray] = {}
     for r in range(q + 1):

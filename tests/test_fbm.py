@@ -16,9 +16,7 @@ from chaoslab.fbm import (
     FbmGrid,
     FbmPathBatch,
     abs_rho_power_sum,
-    alpha,
     alpha_diag,
-    beta,
     bounds_suite,
     cov_rh,
     del_norm,
@@ -73,21 +71,23 @@ def test_hurst_validation():
             rho(bad, 1)
 
 
+def _increment_cov(H, n, k, j):
+    # E[(B_{(k+1)/n} - B_{k/n})(B_{(j+1)/n} - B_{j/n})] from the path covariance
+    a, b, c, d = k / n, (k + 1) / n, j / n, (j + 1) / n
+    return cov_rh(H, b, d) - cov_rh(H, b, c) - cov_rh(H, a, d) + cov_rh(H, a, c)
+
+
 def test_grid_inner_closed_forms():
     H, n = 0.25, 4
-    assert alpha(H, n, 0, 0) == pytest.approx(0.0, abs=1e-15)
-    assert alpha(H, n, 1, 1) == pytest.approx((2.0**0.5 - 2.0) / (2.0 * 4.0**0.5), abs=1e-12)
-    assert beta(H, n, 2, 2) == pytest.approx(n ** (-2.0 * H), abs=1e-14)
-    # beta(k, j) = n^{-2H} rho(k - j) across the grid
+    assert eps_del(H, n, 0 / n, 0) == pytest.approx(0.0, abs=1e-15)
+    assert eps_del(H, n, 1 / n, 1) == pytest.approx((2.0**0.5 - 2.0) / (2.0 * 4.0**0.5), abs=1e-12)
+    assert alpha_diag(H, n, 1) == pytest.approx((2.0**0.5 - 2.0) / (2.0 * 4.0**0.5), abs=1e-12)
+    # <del_{k/n}, del_{j/n}> = n^{-2H} rho(k - j) across the grid
     for k in range(n):
         for j in range(n):
-            assert beta(H, n, k, j) == pytest.approx(
-                n ** (-2.0 * H) * rho(H, k - j), abs=1e-13
+            assert n ** (-2.0 * H) * rho(H, k - j) == pytest.approx(
+                _increment_cov(H, n, k, j), abs=1e-13
             )
-    # alpha(k, j) = eps_del(k/n, j)
-    for k in range(n):
-        for j in range(n):
-            assert alpha(H, n, k, j) == pytest.approx(eps_del(H, n, k / n, j), abs=1e-14)
 
 
 def test_eps_del_is_an_inner_product_of_the_covariance():
@@ -100,11 +100,12 @@ def test_eps_del_is_an_inner_product_of_the_covariance():
 
 
 def test_alpha_diag_matches_alpha():
+    # alpha_{k,k} = <eps_{k/n}, del_{k/n}>
     H, n = 0.2, 16
     ks = np.arange(n)
     np.testing.assert_allclose(
         np.asarray(alpha_diag(H, n, ks)),
-        [alpha(H, n, k, k) for k in ks],
+        [eps_del(H, n, k / n, k) for k in ks],
         atol=1e-15,
     )
 
@@ -115,9 +116,9 @@ def test_del_norm_closed_form():
 
 def test_grid_index_range_errors():
     with pytest.raises(ValueError, match="range"):
-        alpha(0.3, 4, 4, 0)
+        alpha_diag(0.3, 4, 4)
     with pytest.raises(ValueError, match="range"):
-        beta(0.3, 4, 0, -1)
+        eps_del(0.3, 4, 0.5, -1)
     with pytest.raises(ValueError):
         eps_del(0.3, 4, 1.2, 0)
 
@@ -204,13 +205,11 @@ def test_rho_power_sum_peak_memory_is_two_chunks():
 # -- grids and batches ---------------------------------------------------------
 
 
-def test_grid_validation_and_times():
+def test_grid_validation():
     with pytest.raises(ValueError):
         FbmGrid(0.3, 0)
     with pytest.raises(ValueError):
         FbmGrid(1.2, 4)
-    grid = FbmGrid(0.3, 4)
-    np.testing.assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_increment_covariance_matrix():
@@ -220,7 +219,7 @@ def test_increment_covariance_matrix():
     np.testing.assert_allclose(np.diag(cov), 6.0**-0.6 * np.ones(6), atol=1e-14)
     for k in range(6):
         for j in range(6):
-            assert cov[k, j] == pytest.approx(beta(0.3, 6, k, j), abs=1e-14)
+            assert cov[k, j] == pytest.approx(_increment_cov(0.3, 6, k, j), abs=1e-14)
 
 
 def test_embedding_spectrum_h_half_is_flat():

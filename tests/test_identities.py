@@ -1,5 +1,8 @@
 """Randomized exact verification of the integration-by-parts identity family."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from chaoslab.identities import (
 )
 from chaoslab.malliavin import PolyTensor, skorohod
 from chaoslab.polyrv import PolyRV, wick_expectation
+from chaoslab.report import without_meta
 from chaoslab.space import GaussianSpace
 from chaoslab.tensors import SymTensor
 
@@ -41,6 +45,21 @@ def test_suite_is_deterministic():
     b = run_identity_suite(seed=5, instances=60)
     assert a.statistic == b.statistic
     assert a.extras["per_identity"] == b.extras["per_identity"]
+
+
+# sha256 of the suite report without meta, recorded before the tensor
+# arithmetic moved onto numpy object arrays
+SUITE_DIGESTS = {
+    (0, 120): "95f7d302eec7db9303a17f386915f9e52612458eaa5f62b29dc3872743e88c3d",
+    (5, 240): "4edc7abcda504d9f5a8714f6573eb78f6ee34d79ae3a733469bbdb4c9c106559",
+}
+
+
+@pytest.mark.parametrize("seed, instances", sorted(SUITE_DIGESTS))
+def test_suite_report_bits_pinned(seed, instances):
+    payload = without_meta(run_identity_suite(seed, instances).to_dict())
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == SUITE_DIGESTS[(seed, instances)]
 
 
 def test_suite_seed_changes_instances():
@@ -110,6 +129,37 @@ def test_covariance_gap_matches_hand_formula_first_order():
     )
     assert lhs == pytest.approx(inner + trace, abs=1e-12)
     assert covariance_gap(u, v) <= 1e-12
+
+
+def _rank_one_case():
+    space = GaussianSpace([[1.0, 1.0], [1.0, 1.0]])
+    x0 = space.basis_rv(0)
+    u = PolyTensor(space, [x0 * x0, x0])
+    return u, u
+
+
+def _rank_two_case():
+    space = GaussianSpace([[1.0, 0.5, 1.0], [0.5, 1.0, 0.5], [1.0, 0.5, 1.0]])
+    x0, x1, x2 = (space.basis_rv(i) for i in range(3))
+    return PolyTensor(space, [x0 * x1, x1 * x1, x2]), PolyTensor(space, [x2, x0 * x1, x1])
+
+
+@pytest.mark.parametrize("case", [_rank_one_case, _rank_two_case], ids=["rank1-dim2", "rank2-dim3"])
+def test_covariance_gap_on_rank_deficient_spaces(case):
+    # tensor slots run over every coordinate of the space, not only its rank
+    u, v = case()
+    assert u.space.rank < u.space.dim
+    assert covariance_gap(u, u) <= 1e-12
+    assert covariance_gap(u, v) <= 1e-12
+
+
+def test_covariance_gap_rejects_fields_from_different_spaces():
+    a = GaussianSpace([[1.0, 0.3], [0.3, 1.0]])
+    b = GaussianSpace([[1.0, -0.3], [-0.3, 1.0]])
+    u = PolyTensor(a, [a.basis_rv(0), a.basis_rv(1)])
+    v = PolyTensor(b, [b.basis_rv(1), b.basis_rv(0)])
+    with pytest.raises(ValueError, match="different spaces"):
+        covariance_gap(u, v)
 
 
 def test_isometry_gap_same_and_cross_order():
