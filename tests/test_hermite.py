@@ -11,6 +11,7 @@ from chaoslab.hermite import (
     hermite_eval,
     hermite_monomial_coeffs,
     monomial_hermite_coeffs,
+    normalization_scale,
 )
 
 
@@ -28,6 +29,13 @@ def test_pinned_values_scaled():
     assert hermite_eval(3, 2.0, normalization="scaled") == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert hermite_eval(2, 3.0, normalization="scaled") == pytest.approx(4.0, abs=1e-12)
     assert hermite_eval(0, 0.3, normalization="scaled") == 1.0
+
+
+def test_normalization_scale_is_one_or_q_factorial():
+    assert [normalization_scale(q, "monic") for q in range(5)] == [1.0] * 5
+    assert [normalization_scale(q, "scaled") for q in range(5)] == [1.0, 1.0, 2.0, 6.0, 24.0]
+    with pytest.raises(ValueError, match="normalization"):
+        normalization_scale(2, "physicist")
 
 
 def test_array_broadcast():
