@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import time
 
 from chaoslab.limits import berry_esseen_coefficient, chaos2_fourth_moment_exact
 

@@ -37,7 +37,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .experiments import mixture_comparison
-from .fbm import FbmGrid, bounds_suite, rho, sample_paths, save_paths
+from .fbm import METHODS, FbmGrid, bounds_suite, rho, sample_paths, save_paths
 from .hermite import NORMALIZATIONS
 from .identities import run_identity_suite
 from .limits import berry_esseen_check, brownian_example_run
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--weight", type=str, default=None, help="poly:<c0,c1,...>|cos:<a,b>|expq:<c>")
         sub.add_argument("--normalization", choices=NORMALIZATIONS, default=None)
-        sub.add_argument("--method", choices=("cholesky", "circulant"), default=None)
+        sub.add_argument("--method", choices=METHODS, default=None)
         sub.add_argument("--out", type=str, default=None, help="output directory")
         sub.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
         sub.add_argument("--decompose", action="store_const", const=True, default=None)
@@ -189,8 +189,8 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError("n values must be positive")
     if config["normalization"] not in NORMALIZATIONS:
         raise ConfigError("normalization must be 'monic' or 'scaled'")
-    if config["method"] not in ("auto", "cholesky", "circulant"):
-        raise ConfigError("method must be 'cholesky' or 'circulant'")
+    if config["method"] not in METHODS:
+        raise ConfigError("method must be 'auto', 'cholesky' or 'circulant'")
     if not 0.0 < config["alpha"] < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
     if not config["tolerance"] > 0.0:

@@ -11,8 +11,11 @@ stationary autocovariance (large n), with counter-based per-path randomness so
 that path i is a function of (seed, i) only.  ``map_paths`` is the one path
 loop: it builds the sampler plan for ``(grid, method)`` once, then draws,
 transforms and hands over the paths of one RNG slab at a time on the block
-pool of ``rng.map_slabs``, each block drawn once.  ``sample_paths`` is its
-consumer that fills one array.
+pool of ``rng.map_slabs``, each block drawn once.  A Cholesky slab is
+``rng.SLAB_ROWS`` rows; a circulant slab is sized in bytes by
+``rng.slab_rows`` and transformed in one reused buffer per pool thread, so
+its working set stays in cache at any n.  ``sample_paths`` is its consumer
+that fills one array.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -22,6 +25,7 @@ n^{-2H}.
 from __future__ import annotations
 
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +37,7 @@ import scipy.fft
 from scipy.linalg import cholesky, toeplitz
 
 from .report import TestReport
-from .rng import SLAB_ROWS, derive_seed, map_slabs, worker_count
+from .rng import SLAB_ROWS, derive_seed, map_slabs, slab_rows, worker_count
 from .rng import normal_rows  # noqa: F401  (bound here for perfbench's tracer test)
 
 __all__ = [
@@ -53,6 +57,7 @@ __all__ = [
     "save_paths",
 ]
 
+METHODS = ("auto", "cholesky", "circulant")  # sampler names; "auto" picks by n
 CHOLESKY_MAX_N = 4096
 AUTO_METHOD_CUTOFF = 512
 EIGENVALUE_CLIP = 1e-8
@@ -316,7 +321,7 @@ def _resolve_method(grid: FbmGrid, method: str) -> str:
     """The sampler ``method`` names for ``grid``: "auto" resolved, and checked."""
     if method == "auto":
         return "cholesky" if grid.n <= AUTO_METHOD_CUTOFF else "circulant"
-    if method not in ("cholesky", "circulant"):
+    if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
     if method == "cholesky" and grid.n > CHOLESKY_MAX_N:
         raise ValueError(f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {grid.n}")
@@ -328,6 +333,7 @@ class _Plan(NamedTuple):
     label: str  # RNG stream label
     raw_len: int  # normals per raw row
     paths_per_row: int
+    slab_rows: int  # raw rows per transform
     max_threads: int | None  # cap on the block pool
     transform: Callable[[np.ndarray], np.ndarray]
 
@@ -336,17 +342,21 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
     """Build the sampler plan for ``(grid, method)``: the Cholesky factor or the
     clipped embedding spectrum, and the transform from raw normals to increments.
 
-    The transform always sees a full ``rng.SLAB_ROWS`` slab, so the BLAS/FFT
-    blocking (and therefore the exact floating-point result for path i) never
-    depends on m.  A Cholesky plan runs on a one-thread pool: its GEMM already
-    uses the BLAS threads, and two GEMMs at once run slower.  A circulant plan
-    runs one single-threaded FFT per pool thread.
+    The transform always sees a full slab of ``slab_rows`` rows, so its result
+    for path i never depends on m.  A Cholesky plan keeps ``rng.SLAB_ROWS``
+    rows whatever n: the bits of a GEMM row depend on how many rows the GEMM
+    has (with OpenBLAS, GEMMs of 8 to 128 rows round differently from
+    256-row ones), so a byte-sized slab would change the paths.  It runs on
+    a one-thread pool: its GEMM already uses the BLAS threads, and two GEMMs
+    at once run slower.  A circulant transform is row by row, so its plan
+    takes the byte-sized ``rng.slab_rows(4n)`` rows, and runs one
+    single-threaded FFT per pool thread in place in that thread's buffer.
     """
     n = grid.n
     method = _resolve_method(grid, method)
     if method == "cholesky":
         factor_t = cholesky(grid.increment_covariance(), lower=True).T
-        return _Plan(method, "fgn-cholesky", n, 1, 1, lambda raw: raw @ factor_t)
+        return _Plan(method, "fgn-cholesky", n, 1, SLAB_ROWS, 1, lambda raw: raw @ factor_t)
     # one complex transform yields two paths
     M = 2 * n
     lam = embedding_spectrum(grid)
@@ -357,17 +367,26 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
             f"{lam_min:.6e} (max {lam_max:.6e}); use the cholesky method"
         )
     weights = np.sqrt(np.clip(lam, 0.0, None) / M)
+    rows = slab_rows(2 * M)
+    scratch = threading.local()
 
     def transform(raw: np.ndarray) -> np.ndarray:
-        z = raw[:, :M] + 1j * raw[:, M:]
-        spectra = weights[None, :] * z
-        transformed = scipy.fft.ifft(spectra, axis=1, workers=1)
-        transformed *= M  # undo the 1/M of the inverse transform; net scale 1/sqrt(M)
+        z = getattr(scratch, "z", None)
+        if z is None:
+            z = scratch.z = np.empty((rows, M), dtype=complex)
+        z = z[: len(raw)]
+        z.real = raw[:, :M]
+        z.imag = raw[:, M:]
+        z *= weights
+        z = scipy.fft.ifft(z, axis=1, workers=1, overwrite_x=True)
+        z *= M  # undo the 1/M of the inverse transform; net scale 1/sqrt(M)
         # pair row -> [even path | odd path] -> two consecutive path rows
-        pairs = np.concatenate([transformed.real[:, :n], transformed.imag[:, :n]], axis=1)
+        pairs = np.empty((len(raw), 2, n))
+        pairs[:, 0] = z.real[:, :n]
+        pairs[:, 1] = z.imag[:, :n]
         return pairs.reshape(2 * len(raw), n)
 
-    return _Plan(method, "fgn-circulant", 2 * M, 2, None, transform)
+    return _Plan(method, "fgn-circulant", 2 * M, 2, rows, None, transform)
 
 
 def map_paths(
@@ -376,7 +395,8 @@ def map_paths(
     """Call ``consume(start, batch)`` for consecutive batches of paths [0, m).
 
     ``batch`` holds paths [start, start + batch.m), those of one transformed
-    ``rng.SLAB_ROWS``-row slab of raw normals (the last cut at m).  The
+    slab of raw normals (the last cut at m): ``rng.SLAB_ROWS`` rows for a
+    Cholesky plan, ``rng.slab_rows(4n)`` for a circulant one.  The
     sampler plan is built once, and not at all when m = 0; the slabs run on
     the block pool of :func:`chaoslab.rng.map_slabs`, so ``consume`` may run
     concurrently for different batches and should write disjoint rows of
@@ -393,8 +413,10 @@ def map_paths(
         increments = plan.transform(raw)[: m - start]
         consume(start, FbmPathBatch(grid, increments, seed, plan.method))
 
-    rows = -(-m // (SLAB_ROWS * plan.paths_per_row)) * SLAB_ROWS  # whole slabs
-    map_slabs(derive_seed(seed, plan.label), plan.raw_len, rows, run, plan.max_threads)
+    rows = -(-m // (plan.slab_rows * plan.paths_per_row)) * plan.slab_rows  # whole slabs
+    map_slabs(
+        derive_seed(seed, plan.label), plan.raw_len, rows, run, plan.max_threads, plan.slab_rows
+    )
 
 
 def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmPathBatch:

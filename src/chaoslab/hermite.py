@@ -6,8 +6,11 @@ Conventions used across the package:
   Orthogonality: E[He_p(Z) He_q(Z)] = q!·1{p=q} for Z ~ N(0,1).
 * ``scaled``: He_q(x)/q!, so the leading coefficient is 1/q!.
 
-Evaluation is delegated to :mod:`numpy.polynomial.hermite_e`, which uses the
-same monic ("HermiteE") convention.
+Evaluation runs the Clenshaw recurrence of numpy's ``hermite_e.hermeval`` (the
+same monic "HermiteE" convention) for the coefficient vector of He_q, step
+for step in place in at most three arrays, so it returns hermeval's bits
+without its temporaries.  Basis conversions are delegated to
+:mod:`numpy.polynomial.hermite_e`.
 """
 
 from __future__ import annotations
@@ -37,14 +40,40 @@ def hermite_eval(q: int, x, normalization: str = "monic"):
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
     scale = normalization_scale(q, normalization)
-    basis = np.zeros(q + 1)
-    basis[q] = 1.0
-    out = hermite_e.hermeval(np.asarray(x, dtype=float), basis)
+    points = np.asarray(x, dtype=float)
+    out = _hermeval_unit(q, points.reshape(1) if points.ndim == 0 else points)
     if scale != 1.0:
-        out = out / scale
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out)
-    return out
+        out /= scale
+    return float(out[0]) if points.ndim == 0 else out
+
+
+def _hermeval_unit(q: int, x: np.ndarray) -> np.ndarray:
+    """``hermite_e.hermeval(x, e_q)`` for the unit coefficient vector e_q, by the
+    same operations in the same order, into a fresh array (x of ndim >= 1).
+
+    hermeval's Clenshaw steps read c0 <- c_k - c1 (nd - 1), c1 <- c0 + c1 x
+    and end with c0 + c1 x.  With c = e_q every c_k below c_q is 0, and the
+    first step gives c0 = 1 - q and c1 = x + 0 (0 + 1·x, whose 1·x is exact).
+    """
+    if q == 0:
+        out = np.multiply(x, 0.0)  # c0 + c1 x with c0 = 1, c1 = 0
+        out += 1.0
+        return out
+    c1 = np.add(x, 0.0)
+    if q == 1:
+        return c1
+    c0: float | np.ndarray = 1.0 - q
+    spare = None
+    for nd in range(q - 1, 1, -1):
+        product = np.multiply(c1, x, out=spare)
+        product += c0  # the new c1: old c0 + c1 x
+        c1 *= nd - 1
+        np.subtract(0.0, c1, out=c1)  # the new c0: 0 - c1 (nd - 1)
+        spare = c0 if isinstance(c0, np.ndarray) else None
+        c0, c1 = c1, product
+    c1 *= x
+    c1 += c0
+    return c1
 
 
 def hermite_monomial_coeffs(q: int) -> np.ndarray:

@@ -20,10 +20,12 @@ shift at the lower critical point.  This module provides:
 
 fBm paths are reduced batch by batch by consumers of
 :func:`chaoslab.fbm.map_paths`, and the Brownian example's raw normals slab by
-slab with :func:`chaoslab.rng.map_slabs`, the thread pool under both.  Each
-consumer writes its replicas' rows of preallocated arrays, and every replica
-draws counter-based randomness addressed by its index, so results are
-reproducible bit-for-bit whatever the thread count.
+slab with :func:`chaoslab.rng.map_slabs`, the thread pool under both.  Slabs
+of long rows are capped in bytes (``rng.SLAB_BYTES``), so memory does not
+grow with the grid size.  Each consumer writes its replicas' rows of
+preallocated arrays, and every replica draws counter-based randomness
+addressed by its index, so results are reproducible bit-for-bit whatever
+the thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from scipy.special import ndtr
 
 from .fbm import FbmGrid, FbmPathBatch, map_paths, rho
 from .report import TestReport
-from .rng import SLAB_ROWS, derive_seed, map_slabs, normal_rows, worker_count
+from .rng import derive_seed, map_slabs, normal_rows, slab_rows, worker_count
 from .variations import sigma_hq
 from .weights import WeightFunction
 
@@ -123,7 +125,9 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
     def consume(start: int, batch: FbmPathBatch) -> None:
         rows = slice(start, start + batch.m)
         levels = batch.levels_at_increment_start()
-        variances[rows] = sigma**2 * np.mean(np.asarray(spec.weight(levels)) ** 2, axis=1)
+        weights = np.asarray(spec.weight(levels))
+        np.square(weights, out=weights)
+        variances[rows] = sigma**2 * np.mean(weights, axis=1)
         if spec.shift_coefficient != 0.0:
             shifts[rows] = spec.shift_coefficient * np.mean(
                 np.asarray(spec.weight(levels, spec.q)), axis=1
@@ -400,9 +404,11 @@ def brownian_example_run(
     asymptotic independence of the limit N from W.
 
     Replicas are processed slab by slab with :func:`chaoslab.rng.map_slabs`,
-    one RNG block per worker thread, each thread reusing its own scratch
-    buffers; every per-replica sum runs over one contiguous row, so the
-    values do not depend on the thread count.
+    one RNG block per worker thread, each thread reusing its own four scratch
+    arrays of ``rng.slab_rows(resolution + 2)`` rows, so a slab's passes stay
+    in cache at any resolution; every per-replica sum runs over one
+    contiguous row, so the values do not depend on the thread count or the
+    slab height.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
@@ -422,14 +428,16 @@ def brownian_example_run(
     ref_values = np.empty(m)
     s2_values = np.empty(m)
     scratch = threading.local()
+    height = slab_rows(resolution + 2)  # the slabs map_slabs hands over
 
     def consume(start: int, raw: np.ndarray) -> None:
         rows = slice(start, start + len(raw))
         buffers = getattr(scratch, "buffers", None)
         if buffers is None:
-            # four separate arrays: slices of one stacked array lie exactly
-            # 2**24 bytes apart at resolution 8192, which made cumsum 2.4x slower
-            buffers = scratch.buffers = [np.empty((SLAB_ROWS, resolution)) for _ in range(4)]
+            # four separate arrays: slices of one stacked array lie a power of
+            # two of bytes apart at resolution 8192 (2**24 with 256-row slabs),
+            # which made cumsum 2.4x slower
+            buffers = scratch.buffers = [np.empty((height, resolution)) for _ in range(4)]
         dw, w_left, weighted_w, product = (buffer[: len(raw)] for buffer in buffers)
 
         np.multiply(raw[:, :resolution], sqrt_dt, out=dw)

@@ -7,8 +7,13 @@ counter-based Philox streams addressed by row blocks:
 
 - rows are grouped in fixed blocks of ``BLOCK_ROWS``;
 - block b of a stream uses ``Philox(key=stream key, counter=b << 128)`` and
-  fills its rows sequentially, drawn as consecutive ``SLAB_ROWS``-row slabs
-  from that one generator;
+  fills its rows sequentially, drawn as consecutive slabs from that one
+  generator.  A slab is measured in bytes: :func:`slab_rows` gives the
+  largest power of two of rows, at most ``SLAB_ROWS``, that holds at most
+  ``SLAB_BYTES`` of normals (and at least one row), so a pass over a slab
+  works in cache even when rows are long.  The generator fills its rows in
+  the same order whatever the slab height, so the slab height changes no
+  number;
 - :func:`normal_rows` serves rows [start, start+count) by drawing the covered
   slabs (and the slabs before them in the first block) and slicing, so any
   chunking of a batch yields identical rows.
@@ -35,15 +40,18 @@ import numpy as np
 
 __all__ = [
     "BLOCK_ROWS",
+    "SLAB_BYTES",
     "SLAB_ROWS",
     "derive_seed",
     "map_slabs",
     "normal_rows",
+    "slab_rows",
     "worker_count",
 ]
 
 BLOCK_ROWS = 512
-SLAB_ROWS = 256  # divides BLOCK_ROWS
+SLAB_ROWS = 256  # the tallest slab; divides BLOCK_ROWS
+SLAB_BYTES = 1 << 20  # most bytes of normals in a slab (unless one row is larger)
 _MASK64 = (1 << 64) - 1
 
 
@@ -59,12 +67,25 @@ def _stream_key(seed: int) -> int:
     return int(words[0]) | (int(words[1]) << 64)
 
 
-def _block_slabs(key: int, block: int, row_len: int, out=None) -> Iterator[np.ndarray]:
-    """The slabs of one block, drawn lazily in order by the block's own generator;
-    with ``out``, each into that array, so a slab lasts until the next is drawn."""
+def slab_rows(row_len: int) -> int:
+    """Rows per slab for rows of ``row_len`` normals: the largest power of two
+    at most ``SLAB_ROWS`` whose rows hold at most ``SLAB_BYTES``, and at least 1.
+
+    Being a power of two no larger than ``SLAB_ROWS``, it divides ``BLOCK_ROWS``.
+    """
+    rows = SLAB_ROWS
+    while rows > 1 and rows * row_len * 8 > SLAB_BYTES:
+        rows //= 2
+    return rows
+
+
+def _block_slabs(key: int, block: int, row_len: int, rows: int, out=None) -> Iterator[np.ndarray]:
+    """The ``rows``-row slabs of one block, drawn lazily in order by the block's
+    own generator; with ``out``, each into that array, so a slab lasts until
+    the next is drawn.  ``rows`` must divide ``BLOCK_ROWS``."""
     gen = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
-    for _ in range(BLOCK_ROWS // SLAB_ROWS):
-        yield gen.standard_normal((SLAB_ROWS, row_len), out=out)
+    for _ in range(BLOCK_ROWS // rows):
+        yield gen.standard_normal((rows, row_len), out=out)
 
 
 def map_slabs(
@@ -73,19 +94,24 @@ def map_slabs(
     rows: int,
     consume: Callable[[int, np.ndarray], None],
     max_threads: int | None = None,
+    rows_per_slab: int | None = None,
 ) -> None:
     """Call ``consume(start, slab)`` for every slab of rows [0, rows), on a thread pool.
 
-    ``slab`` holds rows [start, start + len(slab)); the last one is cut at
-    ``rows`` and slabs wholly past it are not drawn.  Each block's slabs are
-    drawn into one buffer and consumed in order by one task, so ``consume``
-    must not keep a reference to ``slab``.  The pool has
-    ``min(worker_count(), max_threads, blocks)`` threads, so ``consume`` may
-    run concurrently for different blocks.  An exception raised in
-    ``consume`` propagates to the caller.
+    ``slab`` holds rows [start, start + len(slab)): ``rows_per_slab`` rows
+    (default ``slab_rows(row_len)``; it must divide ``BLOCK_ROWS``), except
+    that the last slab is cut at ``rows`` and slabs wholly past it are not
+    drawn.  Each block's slabs are drawn into one buffer and consumed in
+    order by one task, so ``consume`` must not keep a reference to ``slab``.
+    The pool has ``min(worker_count(), max_threads, blocks)`` threads, so
+    ``consume`` may run concurrently for different blocks.  An exception
+    raised in ``consume`` propagates to the caller.
     """
     if rows < 0 or row_len <= 0:
         raise ValueError("need rows >= 0, row_len >= 1")
+    height = rows_per_slab or slab_rows(row_len)
+    if BLOCK_ROWS % height:
+        raise ValueError(f"a slab of {height} rows does not divide a {BLOCK_ROWS}-row block")
     blocks = -(-rows // BLOCK_ROWS)
     if blocks == 0:
         return
@@ -93,9 +119,9 @@ def map_slabs(
 
     def run(block: int) -> None:
         start = block * BLOCK_ROWS
-        for slab in _block_slabs(key, block, row_len, np.empty((SLAB_ROWS, row_len))):
+        for slab in _block_slabs(key, block, row_len, height, np.empty((height, row_len))):
             consume(start, slab[: rows - start])
-            start += SLAB_ROWS
+            start += height
             if start >= rows:
                 return
 
@@ -114,11 +140,12 @@ def normal_rows(seed: int, start: int, count: int, row_len: int) -> np.ndarray:
         raise ValueError("need start >= 0, count >= 0, row_len >= 1")
     out = np.empty((count, row_len))
     key = _stream_key(seed)
+    height = slab_rows(row_len)
     stop = start + count
     for block in range(start // BLOCK_ROWS, -(-stop // BLOCK_ROWS)):
-        bases = range(block * BLOCK_ROWS, stop, SLAB_ROWS)
-        for base, slab in zip(bases, _block_slabs(key, block, row_len)):
-            lo, hi = max(start, base), min(stop, base + SLAB_ROWS)
+        bases = range(block * BLOCK_ROWS, stop, height)
+        for base, slab in zip(bases, _block_slabs(key, block, row_len, height)):
+            lo, hi = max(start, base), min(stop, base + height)
             if lo < hi:
                 out[lo - start : hi - start] = slab[lo - base : hi - base]
     return out

@@ -227,7 +227,8 @@ def weighted_variation(
     scaled_increments = grid.n**grid.hurst * batch.increments
     hermites = hermite_eval(q, scaled_increments, normalization=normalization)
     weights = _weight_values(batch, f)
-    gn = (weights * hermites).sum(axis=1) / math.sqrt(grid.n)
+    gn = np.multiply(weights, hermites, out=hermites).sum(axis=1) / math.sqrt(grid.n)
+    mean_square_weight = np.mean(np.square(weights, out=weights), axis=1)
     return VariationResult(
         q=q,
         H=grid.hurst,
@@ -235,7 +236,7 @@ def weighted_variation(
         normalization=normalization,
         seed=batch.seed,
         gn=np.asarray(gn, dtype=float).reshape(batch.m),
-        mean_square_weight=np.mean(weights**2, axis=1),
+        mean_square_weight=mean_square_weight,
         weight=f.describe(),
     )
 

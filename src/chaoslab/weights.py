@@ -80,8 +80,12 @@ class WeightFunction:
             value = npoly.polyval(x, coeffs) if coeffs.size else np.zeros_like(x)
         elif self.kind == "cosine":
             a, b = self.params
-            # d/dx cos(bx) = b cos(bx + pi/2): each derivative shifts the phase
-            value = a * b**order * np.cos(b * x + order * np.pi / 2.0)
+            # d/dx cos(bx) = b cos(bx + pi/2): each derivative shifts the phase;
+            # a b^order cos(b x + order pi/2), evaluated in place in one array
+            value = np.multiply(b, x, out=np.empty(x.shape))
+            value += order * np.pi / 2.0
+            np.cos(value, out=value)
+            value *= a * b**order
         else:
             (c,) = self.params
             # d^i/dx^i e^{-t^2} = (-1)^i H_i(t) e^{-t^2} (physicists' H_i), t = sqrt(c) x

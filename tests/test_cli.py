@@ -320,6 +320,17 @@ def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, argv, config,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_method_auto_is_accepted_by_flag_and_by_config(tmp_path, capsys):
+    argv = ["fbm", "--n", "8", "--m", "2"]
+    assert main(argv + ["--method", "auto", "--out", str(tmp_path / "flag")]) == 0
+    assert _run_with_config(tmp_path, argv, {"method": "auto"}) == 0
+    flag, config = (_read_report(tmp_path / name) for name in ("flag", "out"))
+    assert flag["config"]["method"] == config["config"]["method"] == "auto"
+    assert flag["reports"] == config["reports"]
+    assert _run_with_config(tmp_path, argv, {"method": "fast"}) == 2
+    assert "method must be 'auto', 'cholesky' or 'circulant'" in capsys.readouterr().err
+
+
 def test_config_values_of_the_default_type_are_accepted(tmp_path):
     config = {"tolerance": 1, "n": 64, "variance_tolerance": None, "decompose": False, "q": 3}
     assert _run_with_config(tmp_path, ["constants"], config) == 0

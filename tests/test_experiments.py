@@ -43,12 +43,14 @@ def test_critical_lower_shift_reuses_the_correction_derivative(monkeypatch):
         return original(self, x, order)
 
     monkeypatch.setattr(WeightFunction, "__call__", counting)
-    m, n = 2 * 512 + 5, 256  # three statistic batches: two 512-path circulant slabs and 5 paths
+    # five statistic batches: four circulant slabs of 128 rows (1 MiB of 1024-normal
+    # rows), each 256 paths, and 5 paths
+    m, n = 4 * 256 + 5, 256
     _, arrays = mixture_comparison(2, 0.25, COS, n, m, seed=2, n_fine=1024)
     # one f'' evaluation per statistic batch (the reference paths have n_fine columns);
     # the batches run on the block pool, so they may come in any order
     order_2 = sorted(shape[0] for shape, order in calls if order == 2 and shape[1] == n)
-    assert order_2 == [5, 512, 512]
+    assert order_2 == [5, 256, 256, 256, 256]
     monkeypatch.undo()
     levels = sample_paths(FbmGrid(0.25, n), m, 2, "circulant").levels_at_increment_start()
     np.testing.assert_array_equal(arrays["own_shift"], 0.25 * np.mean(COS(levels, 2), axis=1))

@@ -286,11 +286,19 @@ def _collect(grid, m, seed, method):
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
-@pytest.mark.parametrize(("method", "slab_paths"), [("cholesky", 256), ("circulant", 512)])
-def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, method, slab_paths):
+@pytest.mark.parametrize(
+    ("method", "n", "slab_paths"),
+    [
+        pytest.param("cholesky", 16, 256, id="cholesky-256"),
+        pytest.param("circulant", 16, 512, id="circulant-512"),
+        # a circulant row at n = 4096 holds 16384 normals, so its 1 MiB slab is 8 rows
+        pytest.param("circulant", 4096, 16, id="circulant-n4096-16"),
+    ],
+)
+def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, method, n, slab_paths):
     # at "3" the pool may outnumber the cores; a short switch interval interleaves blocks
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    grid = FbmGrid(0.3, 16)
+    grid = FbmGrid(0.3, n)
     m = 4 * slab_paths + 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -322,6 +330,35 @@ def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab(monkeypatch, threa
     np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
     digest = hashlib.sha256(whole.increments.tobytes() + whole.paths.tobytes()).hexdigest()
     assert digest == CHOLESKY_16_769
+
+
+# sha256 of increments then levels, recorded while every slab was 256 rows;
+# a byte-sized Cholesky slab would change the second (GEMM bits depend on rows)
+SLAB_PINS = {
+    (4096, 1029, "circulant"): "839bfa91b9a1717fbd7eabb6add9c111a1db8986d2b11133311466e24cfefa81",
+    (513, 300, "cholesky"): "9c232d9b06c33b1012ed4d6b062ae8dd5b06f5484664f2524d0225ac82e10bcd",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(("n", "m", "method"), sorted(SLAB_PINS))
+def test_sample_paths_bits_survive_byte_sized_slabs(monkeypatch, threads, n, m, method):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    batch = sample_paths(FbmGrid(0.3, n), m, 9, method)
+    digest = hashlib.sha256(batch.increments.tobytes() + batch.paths.tobytes()).hexdigest()
+    assert digest == SLAB_PINS[n, m, method]
+
+
+def test_circulant_stream_peak_memory_is_a_few_slabs(monkeypatch):
+    # 256-row slabs of 16384 normals made this 288 MiB: 32 MB slabs and their temporaries
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    tracemalloc.start()
+    try:
+        map_paths(FbmGrid(0.3, 4096), 2048, 1, lambda start, batch: None, "circulant")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_map_paths_propagates_consumer_errors(monkeypatch):

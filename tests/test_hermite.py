@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 
 from chaoslab.hermite import (
     hermite_eval,
@@ -43,6 +44,23 @@ def test_array_broadcast():
     vals = hermite_eval(2, x)
     assert vals.shape == (17, 1)
     np.testing.assert_allclose(vals, x**2 - 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", range(9))
+def test_in_place_recurrence_matches_hermeval_byte_for_byte(q):
+    # hermite_eval runs hermeval's Clenshaw steps in place: same operations, same order
+    basis = np.zeros(q + 1)
+    basis[q] = 1.0
+    x = 3.0 * np.random.default_rng(q).standard_normal((7, 33))
+    x[0, :3] = [0.0, -0.0, 1e200]  # signed zeros and overflow take the same path
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = hermite_e.hermeval(x, basis)
+        assert hermite_eval(q, x).tobytes() == expected.tobytes()
+        assert hermite_eval(q, x, "scaled").tobytes() == (expected / math.factorial(q)).tobytes()
+    for point in (-1.7, -0.0, 0.3, 2.0):
+        value = hermite_eval(q, point)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(hermite_e.hermeval(point, basis)).tobytes()
 
 
 def test_input_validation():

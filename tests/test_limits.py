@@ -260,7 +260,6 @@ def test_chaos2_h_half_any_n_closed_form():
 def test_chaos2_against_wick_oracle():
     # exact small-n moments from the finite Gaussian-space machinery
     from chaoslab.fbm import FbmGrid
-    from chaoslab.hermite import hermite_eval
     from chaoslab.polyrv import PolyRV, wick_expectation
     from chaoslab.space import GaussianSpace
 
@@ -441,6 +440,18 @@ def test_brownian_example_bits_pinned_at_any_thread_count(monkeypatch, threads):
     for key in ("f", "inner", "s2", "reference"):
         digest.update(np.ascontiguousarray(arrays[key]).tobytes())
     assert digest.hexdigest() == BROWNIAN_PIN
+
+
+def test_brownian_example_peak_memory_is_a_few_slabs(monkeypatch):
+    # 256-row slabs of 4098 normals, with 256-row scratch per thread, made this 160 MiB
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    tracemalloc.start()
+    try:
+        brownian_example_run(512, 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _sha256(*arrays) -> str:

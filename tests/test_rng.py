@@ -166,3 +166,44 @@ def test_map_slabs_draws_each_block_into_one_buffer(monkeypatch):
     map_slabs(4, 8, 2 * rng.BLOCK_ROWS, consume)
     assert addresses[0] == addresses[SLAB_ROWS]
     assert addresses[rng.BLOCK_ROWS] == addresses[rng.BLOCK_ROWS + SLAB_ROWS]
+
+
+def test_slab_rows_is_the_tallest_power_of_two_within_slab_bytes():
+    assert rng.slab_rows(1) == SLAB_ROWS
+    assert rng.slab_rows(rng.SLAB_BYTES // (8 * SLAB_ROWS)) == SLAB_ROWS
+    assert rng.slab_rows(rng.SLAB_BYTES // (8 * SLAB_ROWS) + 1) == SLAB_ROWS // 2
+    assert rng.slab_rows(4 * 4096) == 8  # a circulant row at n = 4096
+    assert rng.slab_rows(rng.SLAB_BYTES) == 1  # one row larger than a slab
+    for row_len in (3, 1000, 5000, 8194, 1 << 17):
+        assert rng.BLOCK_ROWS % rng.slab_rows(row_len) == 0
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_map_slabs_numbers_do_not_depend_on_the_slab_height(monkeypatch, threads):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    row_len, rows = 5000, 600  # 16-row default slabs; 600 rows end mid-slab in block 2
+    drawn = {}
+    lock = threading.Lock()
+
+    def collect(height):
+        def consume(start, slab):
+            with lock:
+                drawn[height, start] = slab.copy()
+
+        return consume
+
+    map_slabs(8, row_len, rows, collect(None))
+    map_slabs(8, row_len, rows, collect(SLAB_ROWS), rows_per_slab=SLAB_ROWS)
+    heights = {len(slab) for (height, _), slab in drawn.items() if height is None}
+    assert heights == {rng.slab_rows(row_len), rows % rng.slab_rows(row_len)}
+
+    def joined(height):
+        return np.concatenate([drawn[key] for key in sorted(k for k in drawn if k[0] == height)])
+
+    np.testing.assert_array_equal(joined(None), joined(SLAB_ROWS))
+    np.testing.assert_array_equal(joined(None), normal_rows(8, 0, rows, row_len))
+
+
+def test_map_slabs_rejects_a_slab_that_does_not_divide_a_block():
+    with pytest.raises(ValueError, match="does not divide"):
+        map_slabs(1, 4, 10, lambda start, slab: None, rows_per_slab=3)

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from chaoslab.fbm import FbmGrid, FbmPathBatch, alpha_diag, del_norm, sample_paths
-from chaoslab.malliavin import multiple_integral
-from chaoslab.polyrv import PolyRV, wick_expectation
+from chaoslab.polyrv import PolyRV
 from chaoslab.space import GaussianSpace
 from chaoslab.tensors import SymTensor
 from chaoslab.variations import (
-    VariationResult,
     a_n_statistic,
     classify_regime,
     decompose_gn,

@@ -40,6 +40,18 @@ def test_cosine_derivative_cycle():
     np.testing.assert_allclose(f(x, 4), a * b**4 * np.cos(b * x), atol=1e-12)
 
 
+@pytest.mark.parametrize("order", range(5))
+def test_cosine_in_place_evaluation_matches_the_formula_byte_for_byte(order):
+    a, b = 0.7, -2.3
+    f = WeightFunction.cosine(a, b)
+    x = np.random.default_rng(order).standard_normal((6, 41))
+    assert f(x, order).tobytes() == (a * b**order * np.cos(b * x + order * np.pi / 2)).tobytes()
+    for point in (-1.2, 0.0, 0.5):
+        value = f(point, order)
+        assert type(value) is float
+        assert value == a * b**order * np.cos(b * point + order * np.pi / 2)
+
+
 def test_exp_neg_quadratic_derivatives_exact_forms():
     c = 0.7
     f = WeightFunction.exp_neg_quadratic(c)
