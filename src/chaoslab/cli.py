@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -42,7 +42,7 @@ from .hermite import NORMALIZATIONS
 from .identities import run_identity_suite
 from .limits import berry_esseen_check, brownian_example_run
 from .report import TestReport, report_payload, version_string, write_json
-from .variations import classify_regime, full_variation, sigma_hq
+from .variations import classify_regime, correction_constant, full_variation, sigma_hq
 from .weights import WeightFunction, parse_weight
 
 __all__ = ["main"]
@@ -93,7 +93,9 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="chaoslab",
         description="Verification suites for Gaussian-chaos limit theorems.",
@@ -212,6 +214,11 @@ def _weight(config: dict[str, Any]) -> WeightFunction:
     return parse_weight(config["weight"])
 
 
+def _regime_map(q: int) -> dict[str, str]:
+    """The regime label of (q, h) at every h of ``_REGIME_MAP_GRID``."""
+    return {f"{h:g}": classify_regime(q, h).label for h in _REGIME_MAP_GRID}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (reports, csv header+rows or None, extra payload)
 # ---------------------------------------------------------------------------
@@ -267,43 +274,26 @@ def _run_variation(config: dict[str, Any]):
         config["normalization"],
         decompose=config["decompose"],
     )
-    extras = dict(result.summary())
-    if config["q"] >= 2:
-        regime = classify_regime(config["q"], config["H"])
-        extras["regime_map"] = {
-            f"{h:g}": classify_regime(config["q"], h).label for h in _REGIME_MAP_GRID
-        }
-        extras["renormalization_exponent"] = regime.exponent
+    extras = result.summary()
+    if result.regime is not None:
+        extras["regime_map"] = _regime_map(result.q)
+        extras["renormalization_exponent"] = result.regime.exponent
     if config["decompose"]:
-        report = TestReport(
-            name="decomposition-residual",
-            statistic=result.extras["max_residual"],
-            threshold=1e-8,
-            sample_sizes=(result.m,),
-            seeds=(config["seed"],),
-            extras=extras,
-        )
+        name, statistic, threshold = "decomposition-residual", result.max_residual, 1e-8
     else:
-        report = TestReport(
-            name="variation-summary",
-            statistic=0.0,
-            threshold=0.0,
-            sample_sizes=(result.m,),
-            seeds=(config["seed"],),
-            extras=extras,
-        )
+        name, statistic, threshold = "variation-summary", 0.0, 0.0
+    report = TestReport(
+        name=name,
+        statistic=statistic,
+        threshold=threshold,
+        sample_sizes=(result.m,),
+        seeds=(config["seed"],),
+        extras=extras,
+    )
     return [report], (result.csv_header(), list(result.csv_rows())), {}
 
 
 def _run_limit_test(config: dict[str, Any]):
-    if config["m"] <= 0:
-        raise ConfigError("limit-test requires m >= 1")
-    regime = classify_regime(config["q"], config["H"])
-    if regime.label not in ("mixed_clt", "critical_lower"):
-        raise ConfigError(
-            f"limit-test covers the central regime and the lower critical point; "
-            f"(q={config['q']}, H={config['H']}) is in regime {regime.label!r}"
-        )
     report, arrays = mixture_comparison(
         config["q"],
         config["H"],
@@ -321,8 +311,6 @@ def _run_limit_test(config: dict[str, Any]):
 
 
 def _run_berry_esseen(config: dict[str, Any]):
-    if config["m"] <= 0:
-        raise ConfigError("berry-esseen requires m >= 1")
     reports = [
         berry_esseen_check(config["H"], n, config["m"], config["seed"])
         for n in config["n"]
@@ -342,8 +330,6 @@ def _run_berry_esseen(config: dict[str, Any]):
 
 
 def _run_example_brownian(config: dict[str, Any]):
-    if config["m"] <= 0:
-        raise ConfigError("example-brownian requires m >= 1")
     report, arrays = brownian_example_run(
         _single_n(config),
         config["m"],
@@ -361,8 +347,8 @@ def _run_constants(config: dict[str, Any]):
         "q": q,
         "H": H,
         "rho": {str(lag): float(rho(H, lag)) for lag in lags},
-        "correction_constant_monic": (-1.0) ** q / 2.0**q,
-        "correction_constant_scaled": (-1.0) ** q / (2.0**q * math.factorial(q)),
+        "correction_constant_monic": correction_constant(q, "monic"),
+        "correction_constant_scaled": correction_constant(q, "scaled"),
     }
     try:
         sig = sigma_hq(H, q)
@@ -374,9 +360,7 @@ def _run_constants(config: dict[str, Any]):
         constants["sigma_note"] = str(exc)
     if q >= 2:
         constants["regime"] = classify_regime(q, H).label
-        constants["regime_map"] = {
-            f"{h:g}": classify_regime(q, h).label for h in _REGIME_MAP_GRID
-        }
+        constants["regime_map"] = _regime_map(q)
         constants["critical_points"] = {
             "lower": 1.0 / (2.0 * q),
             "upper": 1.0 - 1.0 / (2.0 * q),

@@ -36,7 +36,6 @@ from .fbm import FbmGrid, FbmPathBatch, map_paths
 from .hermite import normalization_scale
 from .limits import (
     KS_ALPHA,
-    MIN_N_FINE,
     MixtureSpec,
     conditional_cf_test,
     ks_two_sample,
@@ -44,7 +43,7 @@ from .limits import (
 )
 from .report import TestReport
 from .rng import derive_seed
-from .variations import classify_regime, full_variation, sigma_hq
+from .variations import classify_regime, correction_constant, full_variation, sigma_hq
 from .weights import WeightFunction
 
 __all__ = ["mixture_comparison", "riemann_comparison"]
@@ -86,12 +85,12 @@ def mixture_comparison(
     ``variance_tolerance``; it passes at most 1.
     """
     start_time = time.perf_counter()
-    if m <= 0:
-        raise ValueError("m must be positive")
+    if m < 2:
+        raise ValueError(
+            f"need m >= 2 replicas (the variance ratio takes ddof=1 variances), got m = {m}"
+        )
     if variance_tolerance is not None and not variance_tolerance > 0:
         raise ValueError(f"variance_tolerance must be positive, got {variance_tolerance}")
-    if n_fine < MIN_N_FINE:
-        raise ValueError(f"n_fine must be at least {MIN_N_FINE}")
     constants_normalization = constants_normalization or normalization
     regime = classify_regime(q, H)
     if regime.label not in ("mixed_clt", "critical_lower"):
@@ -104,7 +103,8 @@ def mixture_comparison(
     sigma_sq = sigma_hq(H, q).sigma_sq / const_scale**2
     shift_coefficient = 0.0
     if regime.label == "critical_lower":
-        shift_coefficient = (-1.0) ** q / 2.0**q / const_scale
+        shift_coefficient = correction_constant(q, constants_normalization)
+    spec = MixtureSpec(q, H, weight, math.sqrt(sigma_sq), n_fine, shift_coefficient)
 
     statistic, own_s2, own_shift = np.empty(m), np.empty(m), np.zeros(m)
 
@@ -117,15 +117,6 @@ def mixture_comparison(
             own_shift[rows] = shift_coefficient * result.mean_weight_derivative
 
     map_paths(FbmGrid(hurst=H, n=n), m, seed, consume, method)
-
-    spec = MixtureSpec(
-        q=q,
-        H=H,
-        weight=weight,
-        n_fine=n_fine,
-        sigma=math.sqrt(sigma_sq),
-        shift_coefficient=shift_coefficient,
-    )
     reference = sample_mixture_limit(spec, m, derive_seed(seed, "limit-reference"))
 
     ks_report = ks_two_sample(statistic, reference.values, alpha=alpha)

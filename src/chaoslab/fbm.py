@@ -6,16 +6,16 @@ elements of the Cameron–Martin-type Hilbert space (``eps_del`` and its
 diagonal ``alpha_diag``) that drive every weighted-variation computation.
 
 Sampling side: exact Gaussian sampling of increments, either by Cholesky
-factorization of the covariance (small n) or by circulant embedding of the
-stationary autocovariance (large n), with counter-based per-path randomness so
-that path i is a function of (seed, i) only.  ``map_paths`` is the one path
-loop: it builds the sampler plan for ``(grid, method)`` once, then draws,
-transforms and hands over the paths of one RNG slab at a time on the block
-pool of ``rng.map_slabs``, each block drawn once.  A Cholesky slab is
-``rng.SLAB_ROWS`` rows; a circulant slab is sized in bytes by
-``rng.slab_rows`` and transformed in one reused buffer per pool thread, so
-its working set stays in cache at any n.  ``sample_paths`` is its consumer
-that fills one array.
+factorization of the covariance (n <= ``CHOLESKY_MAX_N`` = 512) or by
+circulant embedding of the stationary autocovariance (any n), with
+counter-based per-path randomness so that path i is a function of (seed, i)
+only.  ``map_paths`` is the one path loop: it builds the sampler plan for
+``(grid, method)`` once, then draws, transforms and hands over the paths of
+one ``rng.slab_rows(row)``-row RNG slab at a time on the block pool of
+``rng.map_slabs``, each block drawn once.  A Cholesky row of n <= 512
+normals always gives a full ``rng.SLAB_ROWS``-row slab; a circulant slab is
+transformed in one reused buffer per pool thread, so its working set stays
+in cache at any n.  ``sample_paths`` is its consumer that fills one array.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -37,7 +37,7 @@ import scipy.fft
 from scipy.linalg import cholesky, toeplitz
 
 from .report import TestReport
-from .rng import SLAB_ROWS, derive_seed, map_slabs, slab_rows, worker_count
+from .rng import derive_seed, map_slabs, slab_rows, worker_count
 from .rng import normal_rows  # noqa: F401  (bound here for perfbench's tracer test)
 
 __all__ = [
@@ -58,8 +58,10 @@ __all__ = [
 ]
 
 METHODS = ("auto", "cholesky", "circulant")  # sampler names; "auto" picks by n
-CHOLESKY_MAX_N = 4096
-AUTO_METHOD_CUTOFF = 512
+# the largest n a Cholesky plan takes, and where "auto" switches to circulant:
+# its rows of n normals then fill rng.SLAB_ROWS-row slabs (256 * 512 doubles
+# is rng.SLAB_BYTES), and GEMM bits depend on the row count
+CHOLESKY_MAX_N = 512
 EIGENVALUE_CLIP = 1e-8
 _MAGIC = b"FBMPATH1"
 # the grid of bounds_suite: Hurst indices (all < 1/2), chaos orders, grid sizes,
@@ -274,7 +276,6 @@ class FbmPathBatch:
     grid: FbmGrid
     increments: np.ndarray
     seed: int
-    method: str
 
     def __post_init__(self) -> None:
         increments = np.ascontiguousarray(self.increments, dtype=float)
@@ -320,43 +321,45 @@ def embedding_spectrum(grid: FbmGrid) -> np.ndarray:
 def _resolve_method(grid: FbmGrid, method: str) -> str:
     """The sampler ``method`` names for ``grid``: "auto" resolved, and checked."""
     if method == "auto":
-        return "cholesky" if grid.n <= AUTO_METHOD_CUTOFF else "circulant"
+        return "cholesky" if grid.n <= CHOLESKY_MAX_N else "circulant"
     if method not in METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
     if method == "cholesky" and grid.n > CHOLESKY_MAX_N:
-        raise ValueError(f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {grid.n}")
+        raise ValueError(
+            f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {grid.n}; "
+            "use circulant (exact at every n)"
+        )
     return method
 
 
 class _Plan(NamedTuple):
-    method: str
     label: str  # RNG stream label
     raw_len: int  # normals per raw row
     paths_per_row: int
-    slab_rows: int  # raw rows per transform
     max_threads: int | None  # cap on the block pool
     transform: Callable[[np.ndarray], np.ndarray]
 
 
 def _sampler(grid: FbmGrid, method: str) -> _Plan:
-    """Build the sampler plan for ``(grid, method)``: the Cholesky factor or the
-    clipped embedding spectrum, and the transform from raw normals to increments.
+    """Build the sampler plan for ``grid`` and a resolved ``method``: the
+    Cholesky factor or the clipped embedding spectrum, and the transform from
+    raw normals to increments.
 
-    The transform always sees a full slab of ``slab_rows`` rows, so its result
-    for path i never depends on m.  A Cholesky plan keeps ``rng.SLAB_ROWS``
-    rows whatever n: the bits of a GEMM row depend on how many rows the GEMM
-    has (with OpenBLAS, GEMMs of 8 to 128 rows round differently from
-    256-row ones), so a byte-sized slab would change the paths.  It runs on
-    a one-thread pool: its GEMM already uses the BLAS threads, and two GEMMs
-    at once run slower.  A circulant transform is row by row, so its plan
-    takes the byte-sized ``rng.slab_rows(4n)`` rows, and runs one
-    single-threaded FFT per pool thread in place in that thread's buffer.
+    The transform always sees a full slab of ``rng.slab_rows(raw_len)`` rows,
+    so its result for path i never depends on m.  A Cholesky row holds
+    n <= ``CHOLESKY_MAX_N`` normals, so its slabs are always ``rng.SLAB_ROWS``
+    rows; that matters, because the bits of a GEMM row depend on how many
+    rows the GEMM has (with OpenBLAS, GEMMs of 8 to 128 rows round
+    differently from 256-row ones).  It runs on a one-thread pool: its GEMM
+    already uses the BLAS threads, and two GEMMs at once run slower.  A
+    circulant transform is row by row, so its byte-sized ``rng.slab_rows(4n)``
+    rows may be any height; it runs one single-threaded FFT per pool thread
+    in place in that thread's buffer.
     """
     n = grid.n
-    method = _resolve_method(grid, method)
     if method == "cholesky":
         factor_t = cholesky(grid.increment_covariance(), lower=True).T
-        return _Plan(method, "fgn-cholesky", n, 1, SLAB_ROWS, 1, lambda raw: raw @ factor_t)
+        return _Plan("fgn-cholesky", n, 1, 1, lambda raw: raw @ factor_t)
     # one complex transform yields two paths
     M = 2 * n
     lam = embedding_spectrum(grid)
@@ -364,7 +367,7 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
     if lam_min < -EIGENVALUE_CLIP * lam_max:
         raise ValueError(
             "circulant embedding failed: most negative eigenvalue "
-            f"{lam_min:.6e} (max {lam_max:.6e}); use the cholesky method"
+            f"{lam_min:.6e} (max {lam_max:.6e})"
         )
     weights = np.sqrt(np.clip(lam, 0.0, None) / M)
     rows = slab_rows(2 * M)
@@ -386,7 +389,7 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
         pairs[:, 1] = z.imag[:, :n]
         return pairs.reshape(2 * len(raw), n)
 
-    return _Plan(method, "fgn-circulant", 2 * M, 2, rows, None, transform)
+    return _Plan("fgn-circulant", 2 * M, 2, None, transform)
 
 
 def map_paths(
@@ -395,15 +398,17 @@ def map_paths(
     """Call ``consume(start, batch)`` for consecutive batches of paths [0, m).
 
     ``batch`` holds paths [start, start + batch.m), those of one transformed
-    slab of raw normals (the last cut at m): ``rng.SLAB_ROWS`` rows for a
-    Cholesky plan, ``rng.slab_rows(4n)`` for a circulant one.  The
-    sampler plan is built once, and not at all when m = 0; the slabs run on
-    the block pool of :func:`chaoslab.rng.map_slabs`, so ``consume`` may run
-    concurrently for different batches and should write disjoint rows of
-    preallocated outputs.  An exception raised in ``consume`` propagates.
+    slab of ``rng.slab_rows`` raw rows (the last cut at m): 256 rows for a
+    Cholesky plan, ``rng.slab_rows(4n)`` for a circulant one.  ``method`` is
+    checked first, even when m = 0; the sampler plan is built once, and not
+    at all when m = 0.  The slabs run on the block pool of
+    :func:`chaoslab.rng.map_slabs`, so ``consume`` may run concurrently for
+    different batches and should write disjoint rows of preallocated
+    outputs.  An exception raised in ``consume`` propagates.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    method = _resolve_method(grid, method)
     if m == 0:
         return
     plan = _sampler(grid, method)
@@ -411,30 +416,28 @@ def map_paths(
     def run(row: int, raw: np.ndarray) -> None:
         start = row * plan.paths_per_row
         increments = plan.transform(raw)[: m - start]
-        consume(start, FbmPathBatch(grid, increments, seed, plan.method))
+        consume(start, FbmPathBatch(grid, increments, seed))
 
-    rows = -(-m // (plan.slab_rows * plan.paths_per_row)) * plan.slab_rows  # whole slabs
-    map_slabs(
-        derive_seed(seed, plan.label), plan.raw_len, rows, run, plan.max_threads, plan.slab_rows
-    )
+    height = slab_rows(plan.raw_len)
+    rows = -(-m // (height * plan.paths_per_row)) * height  # whole slabs
+    map_slabs(derive_seed(seed, plan.label), plan.raw_len, rows, run, plan.max_threads)
 
 
 def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmPathBatch:
     """Sample m fBm paths; path i is a deterministic function of (seed, i).
 
-    method: "cholesky" (exact, n <= 4096), "circulant" (fast, needs a
-    non-negative embedding spectrum), or "auto" (cholesky up to n = 512).
-    To reduce a large m in bounded memory use :func:`map_paths`, which
-    hands over the same paths batch by batch.
+    method: "cholesky" (exact, n <= 512), "circulant" (exact, any n: the
+    embedding spectrum is non-negative at every H), or "auto" (cholesky up
+    to n = 512, circulant above).  To reduce a large m in bounded memory use
+    :func:`map_paths`, which hands over the same paths batch by batch.
     """
-    method = _resolve_method(grid, method)
     increments = np.empty((max(m, 0), grid.n))  # map_paths rejects m < 0
 
     def fill(start: int, batch: FbmPathBatch) -> None:
         increments[start : start + batch.m] = batch.increments
 
     map_paths(grid, m, seed, fill, method)
-    return FbmPathBatch(grid, increments, seed, method)
+    return FbmPathBatch(grid, increments, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,7 @@ def save_paths(batch: FbmPathBatch, path: str | Path) -> Path:
 
 
 def load_paths(path: str | Path) -> FbmPathBatch:
-    """Read a FBMPATH1 file back into a batch (method recorded as "file")."""
+    """Read a FBMPATH1 file back into a batch."""
     raw = Path(path).read_bytes()
     if raw[:8] != _MAGIC:
         raise ValueError("not a FBMPATH1 file")
@@ -472,7 +475,7 @@ def load_paths(path: str | Path) -> FbmPathBatch:
         raise ValueError(f"file length {len(raw)} does not match header ({expected})")
     levels = np.frombuffer(raw, dtype="<f8", offset=8 + struct.calcsize("<QQdQ"))
     levels = levels.reshape(int(m), int(n) + 1).astype(float)
-    batch = FbmPathBatch(grid, np.diff(levels, axis=1), seed, "file")
+    batch = FbmPathBatch(grid, np.diff(levels, axis=1), seed)
     batch.__dict__["paths"] = levels  # the file's level bytes, not a re-summation
     return batch
 

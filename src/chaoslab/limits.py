@@ -44,7 +44,6 @@ from scipy.special import ndtr
 from .fbm import FbmGrid, FbmPathBatch, map_paths, rho
 from .report import TestReport
 from .rng import derive_seed, map_slabs, normal_rows, slab_rows, worker_count
-from .variations import sigma_hq
 from .weights import WeightFunction
 
 __all__ = [
@@ -80,23 +79,25 @@ MIN_N_FINE = 1024  # finest grid the limit sampler accepts
 class MixtureSpec:
     """The law sigma * sqrt(int_0^1 f(B_s)^2 ds) * N (+ optional shift).
 
-    ``sigma`` defaults to sigma_{H,q}.  When ``shift_coefficient`` is nonzero
-    the sampler adds shift = shift_coefficient * int_0^1 f^(q)(B_s) ds
-    computed from the same path, which is the combined limit arising at the
-    lower critical H = 1/(2q).
+    ``sigma`` is given by the caller: sigma_{H,q} from
+    :func:`chaoslab.variations.sigma_hq`, divided by q! for scaled Hermite
+    constants.  The integrals are left-endpoint sums over ``n_fine`` >=
+    ``MIN_N_FINE`` fBm increments, checked on construction.  When
+    ``shift_coefficient`` is nonzero the sampler adds shift =
+    shift_coefficient * int_0^1 f^(q)(B_s) ds computed from the same path,
+    which is the combined limit arising at the lower critical H = 1/(2q).
     """
 
     q: int
     H: float
     weight: WeightFunction
+    sigma: float
     n_fine: int = 4096
-    sigma: float | None = None
     shift_coefficient: float = 0.0
 
-    def resolved_sigma(self) -> float:
-        if self.sigma is not None:
-            return float(self.sigma)
-        return sigma_hq(self.H, self.q).sigma
+    def __post_init__(self) -> None:
+        if self.n_fine < MIN_N_FINE:
+            raise ValueError(f"n_fine must be at least {MIN_N_FINE}, got {self.n_fine}")
 
 
 class MixtureSample(NamedTuple):
@@ -112,11 +113,8 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
     f(B_{k/n_fine})^2 (left-endpoint Riemann sum) and, if configured, the
     shift integral; the value is shift + S * Z with a fresh standard normal Z.
     """
-    if spec.n_fine < MIN_N_FINE:
-        raise ValueError(f"n_fine must be at least {MIN_N_FINE}")
     if m < 0:
         raise ValueError("m must be non-negative")
-    sigma = spec.resolved_sigma()
     grid = FbmGrid(spec.H, spec.n_fine)
 
     variances = np.empty(m)
@@ -127,7 +125,7 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
         levels = batch.levels_at_increment_start()
         weights = np.asarray(spec.weight(levels))
         np.square(weights, out=weights)
-        variances[rows] = sigma**2 * np.mean(weights, axis=1)
+        variances[rows] = spec.sigma**2 * np.mean(weights, axis=1)
         if spec.shift_coefficient != 0.0:
             shifts[rows] = spec.shift_coefficient * np.mean(
                 np.asarray(spec.weight(levels, spec.q)), axis=1
@@ -410,8 +408,12 @@ def brownian_example_run(
     contiguous row, so the values do not depend on the thread count or the
     slab height.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
+    if m < 2:
+        raise ValueError(
+            f"need m >= 2 replicas (the z-scores take ddof=1 standard deviations), got m = {m}"
+        )
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     started = time.perf_counter()

@@ -14,6 +14,7 @@ Anything time-dependent (wall-clock runtime, timestamps) lives in a separate
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import subprocess
 from pathlib import Path
@@ -62,8 +63,9 @@ def write_json(payload: Mapping[str, Any], path: str | Path) -> Path:
     return path
 
 
+@functools.cache
 def version_string() -> str:
-    """A git-describe-style version for embedding in reports."""
+    """A git-describe-style version for embedding in reports, computed once per process."""
     from chaoslab import __version__
 
     root = Path(__file__).resolve().parents[2]

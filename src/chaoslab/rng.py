@@ -17,8 +17,10 @@ counter-based Philox streams addressed by row blocks:
 - :func:`normal_rows` serves rows [start, start+count) by drawing the covered
   slabs (and the slabs before them in the first block) and slicing, so any
   chunking of a batch yields identical rows.
-- :func:`map_slabs` hands the slabs of rows [0, rows) to a consumer on a pool
-  of at most ``worker_count()`` threads, one block per task.  A block's slabs
+- :func:`map_slabs` hands the ``slab_rows(row_len)``-row slabs of rows
+  [0, rows) to a consumer on a pool of at most ``worker_count()`` threads,
+  one block per task.  Rows of at most 512 normals (``SLAB_BYTES`` over
+  ``SLAB_ROWS`` doubles) get full ``SLAB_ROWS``-row slabs.  A block's slabs
   come from its own generator, drawn in order on one thread into one buffer,
   so every slab holds the same numbers whatever the thread count or the
   order in which blocks finish; consumers write disjoint rows of their
@@ -94,24 +96,20 @@ def map_slabs(
     rows: int,
     consume: Callable[[int, np.ndarray], None],
     max_threads: int | None = None,
-    rows_per_slab: int | None = None,
 ) -> None:
     """Call ``consume(start, slab)`` for every slab of rows [0, rows), on a thread pool.
 
-    ``slab`` holds rows [start, start + len(slab)): ``rows_per_slab`` rows
-    (default ``slab_rows(row_len)``; it must divide ``BLOCK_ROWS``), except
-    that the last slab is cut at ``rows`` and slabs wholly past it are not
-    drawn.  Each block's slabs are drawn into one buffer and consumed in
-    order by one task, so ``consume`` must not keep a reference to ``slab``.
-    The pool has ``min(worker_count(), max_threads, blocks)`` threads, so
-    ``consume`` may run concurrently for different blocks.  An exception
-    raised in ``consume`` propagates to the caller.
+    ``slab`` holds rows [start, start + len(slab)): ``slab_rows(row_len)``
+    rows, except that the last slab is cut at ``rows`` and slabs wholly past
+    it are not drawn.  Each block's slabs are drawn into one buffer and
+    consumed in order by one task, so ``consume`` must not keep a reference
+    to ``slab``.  The pool has ``min(worker_count(), max_threads, blocks)``
+    threads, so ``consume`` may run concurrently for different blocks.  An
+    exception raised in ``consume`` propagates to the caller.
     """
     if rows < 0 or row_len <= 0:
         raise ValueError("need rows >= 0, row_len >= 1")
-    height = rows_per_slab or slab_rows(row_len)
-    if BLOCK_ROWS % height:
-        raise ValueError(f"a slab of {height} rows does not divide a {BLOCK_ROWS}-row block")
+    height = slab_rows(row_len)
     blocks = -(-rows // BLOCK_ROWS)
     if blocks == 0:
         return

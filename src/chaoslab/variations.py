@@ -9,18 +9,21 @@ Everything else here is exact structure around G_n:
 
 - the (q, H) regime classification with its renormalization factors,
 - the limit standard deviation sigma_{H,q} = sqrt(q! sum_r rho_H(r)^q),
-- the q-th-derivative correction term,
+- the q-th-derivative correction term and its constant c_q,
 - the closed-form evaluation of the one-increment Skorohod integrals
   delta^p(g(B_{k/n}) del^{tensor p}), and the resulting exact decomposition of
   G_n into a top-order divergence, middle divergences, and a remainder —
   an algebraic identity holding path by path, not an asymptotic statement,
 - the quadratic functional A_n whose limit is sigma^2 int f(B)^2.
+
+:func:`full_variation` computes G_n and everything above that is taken per
+path, and returns it as one :class:`VariationResult`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,11 +39,11 @@ __all__ = [
     "VariationResult",
     "a_n_statistic",
     "classify_regime",
+    "correction_constant",
     "decompose_gn",
     "full_variation",
     "sigma_hq",
     "skorohod_weighted_closed_form",
-    "weighted_variation",
 ]
 
 REGIME_BOUNDARY_TOL = 1e-12
@@ -137,6 +140,11 @@ def sigma_hq(H: float, q: int, tol: float = 1e-10) -> SigmaHq:
 # ---------------------------------------------------------------------------
 
 
+def correction_constant(q: int, normalization: str) -> float:
+    """c_q = (-1)^q / 2^q under monic normalization, divided by q! under scaled."""
+    return (-1.0) ** q / 2.0**q / normalization_scale(q, normalization)
+
+
 @dataclass(frozen=True)
 class VariationResult:
     """Per-path variation values plus the configuration that produced them.
@@ -146,6 +154,9 @@ class VariationResult:
     conditional variance of the limit needs no second weight evaluation.
     ``mean_weight_derivative`` is the per-path mean of f^(q)(B_{k/n}), taken
     with the correction term, for the shift at the lower critical point.
+    ``regime`` and ``renormalized`` are None only at q = 1; ``components``
+    and ``max_residual`` (the largest |G_n - sum of components|) are None
+    unless the decomposition was asked for.
     """
 
     q: int
@@ -153,15 +164,15 @@ class VariationResult:
     n: int
     normalization: str
     seed: int
+    weight: str
     gn: np.ndarray
-    correction: np.ndarray | None = None
-    renormalized: np.ndarray | None = None
-    regime: RegimeSpec | None = None
-    components: dict[str, np.ndarray] | None = None
-    mean_square_weight: np.ndarray | None = None
-    mean_weight_derivative: np.ndarray | None = None
-    weight: str = ""
-    extras: dict = field(default_factory=dict)
+    correction: np.ndarray
+    mean_square_weight: np.ndarray
+    mean_weight_derivative: np.ndarray
+    regime: RegimeSpec | None
+    renormalized: np.ndarray | None
+    components: dict[str, np.ndarray] | None
+    max_residual: float | None
 
     @property
     def m(self) -> int:
@@ -176,13 +187,11 @@ class VariationResult:
         return head
 
     def csv_rows(self):
-        corr = self.correction
         ren = self.renormalized
         comps = self.components or {}
         names = self.component_names()
         for i in range(self.m):
-            row: list[float | int | str] = [i, float(self.gn[i])]
-            row.append(float(corr[i]) if corr is not None else "")
+            row: list[float | int | str] = [i, float(self.gn[i]), float(self.correction[i])]
             row.append(float(ren[i]) if ren is not None else "")
             row.extend(float(comps[name][i]) for name in names)
             yield row
@@ -205,8 +214,7 @@ class VariationResult:
             out["renormalized_mean"] = float(np.mean(self.renormalized))
             out["renormalized_var"] = float(np.var(self.renormalized))
         if self.components:
-            out["component_max_residual"] = float(self.extras.get("max_residual", float("nan")))
-        out.update({k: v for k, v in self.extras.items() if k != "max_residual"})
+            out["component_max_residual"] = self.max_residual
         return out
 
 
@@ -214,45 +222,14 @@ def _weight_values(batch: FbmPathBatch, f: WeightFunction, order: int = 0) -> np
     return np.asarray(f(batch.levels_at_increment_start(), order))
 
 
-def weighted_variation(
-    batch: FbmPathBatch,
-    q: int,
-    f: WeightFunction,
-    normalization: str = "monic",
-) -> VariationResult:
-    """Per-path G_n; no renormalization and no correction are applied here."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    grid = batch.grid
-    scaled_increments = grid.n**grid.hurst * batch.increments
-    hermites = hermite_eval(q, scaled_increments, normalization=normalization)
-    weights = _weight_values(batch, f)
-    gn = np.multiply(weights, hermites, out=hermites).sum(axis=1) / math.sqrt(grid.n)
-    mean_square_weight = np.mean(np.square(weights, out=weights), axis=1)
-    return VariationResult(
-        q=q,
-        H=grid.hurst,
-        n=grid.n,
-        normalization=normalization,
-        seed=batch.seed,
-        gn=np.asarray(gn, dtype=float).reshape(batch.m),
-        mean_square_weight=mean_square_weight,
-        weight=f.describe(),
-    )
-
-
 def _correction(
     batch: FbmPathBatch, q: int, f: WeightFunction, normalization: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The q-th-derivative compensator c_q n^{-1/2-qH} sum_k f^(q)(B_{k/n}), and
-    the per-path mean of f^(q)(B_{k/n}), from one evaluation of f^(q).
-
-    c_q = (-1)^q / 2^q under monic normalization, divided by q! under scaled.
-    """
+    the per-path mean of f^(q)(B_{k/n}), from one evaluation of f^(q)."""
     grid = batch.grid
-    c_q = (-1.0) ** q / 2.0**q / normalization_scale(q, normalization)
     deriv_sums = _weight_values(batch, f, q).sum(axis=1)
-    scale = c_q * float(grid.n) ** (-0.5 - q * grid.hurst)
+    scale = correction_constant(q, normalization) * float(grid.n) ** (-0.5 - q * grid.hurst)
     # sum / n is what np.mean(f^(q), axis=1) computes, bit for bit
     return scale * deriv_sums, deriv_sums / grid.n
 
@@ -348,29 +325,45 @@ def full_variation(
     normalization: str = "monic",
     decompose: bool = False,
 ) -> VariationResult:
-    """G_n plus correction, regime renormalization, and optional decomposition."""
-    base = weighted_variation(batch, q, f, normalization)
+    """Per-path G_n with its correction, regime renormalization, weight means
+    and, with ``decompose``, its exact decomposition."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    grid = batch.grid
+    scaled_increments = grid.n**grid.hurst * batch.increments
+    hermites = hermite_eval(q, scaled_increments, normalization=normalization)
+    weights = _weight_values(batch, f)
+    gn = np.multiply(weights, hermites, out=hermites).sum(axis=1) / math.sqrt(grid.n)
+    mean_square_weight = np.mean(np.square(weights, out=weights), axis=1)
+    gn = np.asarray(gn, dtype=float).reshape(batch.m)
     correction, mean_weight_derivative = _correction(batch, q, f, normalization)
-    extras: dict = {}
     regime = None
     renormalized = None
     if q >= 2:
-        regime = classify_regime(q, batch.grid.hurst)
-        centered = base.gn - correction if regime.corrected else base.gn
-        renormalized = regime.renormalization_factor(batch.grid.n) * centered
+        regime = classify_regime(q, grid.hurst)
+        centered = gn - correction if regime.corrected else gn
+        renormalized = regime.renormalization_factor(grid.n) * centered
     components = None
+    max_residual = None
     if decompose:
         components = decompose_gn(batch, q, f, normalization)
-        residual = base.gn - sum(components.values())
-        extras["max_residual"] = float(np.max(np.abs(residual))) if base.m else 0.0
-    return replace(
-        base,
+        residual = gn - sum(components.values())
+        max_residual = float(np.max(np.abs(residual))) if batch.m else 0.0
+    return VariationResult(
+        q=q,
+        H=grid.hurst,
+        n=grid.n,
+        normalization=normalization,
+        seed=batch.seed,
+        weight=f.describe(),
+        gn=gn,
         correction=correction,
-        renormalized=renormalized,
-        regime=regime,
-        components=components,
+        mean_square_weight=mean_square_weight,
         mean_weight_derivative=mean_weight_derivative,
-        extras=extras,
+        regime=regime,
+        renormalized=renormalized,
+        components=components,
+        max_residual=max_residual,
     )
 
 

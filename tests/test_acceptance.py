@@ -34,11 +34,7 @@ from chaoslab.polyrv import PolyRV
 from chaoslab.report import canonical_json, without_meta
 from chaoslab.space import GaussianSpace
 from chaoslab.tensors import SymTensor
-from chaoslab.variations import (
-    decompose_gn,
-    skorohod_weighted_closed_form,
-    weighted_variation,
-)
+from chaoslab.variations import full_variation, skorohod_weighted_closed_form
 from chaoslab.weights import WeightFunction
 
 # Expensive runs shared between their own criterion and the determinism
@@ -118,9 +114,7 @@ def test_criterion_3_decomposition_identity(verdict):
             for n in (16, 64, 256):
                 batch = sample_paths(FbmGrid(H, n), 10, seed=3)
                 for f in weights:
-                    comps = decompose_gn(batch, q, f)
-                    gn = weighted_variation(batch, q, f).gn
-                    residual = float(np.max(np.abs(gn - sum(comps.values()))))
+                    residual = full_variation(batch, q, f, decompose=True).max_residual
                     worst = max(worst, residual)
 
     # Closed-form iterated-divergence evaluator vs the exact symbolic

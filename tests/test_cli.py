@@ -13,6 +13,8 @@ import json
 import numpy as np
 import pytest
 
+import chaoslab.cli
+import chaoslab.report
 from chaoslab.cli import main
 from chaoslab.fbm import FbmGrid, load_paths, sample_paths
 from chaoslab.report import canonical_json, without_meta
@@ -168,6 +170,12 @@ def test_malformed_config_file_is_rejected(tmp_path, capsys):
         (["variation", "--m", "0"], "m >= 1"),
         (["limit-test", "--q", "2", "--H", "0.8"], "hermite"),
         (["limit-test", "--q", "2", "--H", "0.3", "--n", "16,32"], "single --n"),
+        # one replica has no ddof=1 variance, so m = 1 is rejected before sampling
+        (
+            ["limit-test", "--q", "2", "--H", "0.3", "--n", "16", "--m", "1", "--weight", "cos:1,1"],
+            "got m = 1",
+        ),
+        (["example-brownian", "--n", "1", "--m", "1"], "got m = 1"),
     ],
 )
 def test_invalid_configurations_exit_2(tmp_path, capsys, argv, fragment):
@@ -176,6 +184,24 @@ def test_invalid_configurations_exit_2(tmp_path, capsys, argv, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert fragment in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_the_parser_and_the_version_are_built_once_per_process(tmp_path, monkeypatch):
+    chaoslab.cli._build_parser.cache_clear()
+    chaoslab.report.version_string.cache_clear()
+    calls = []
+    run = chaoslab.report.subprocess.run
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(chaoslab.report.subprocess, "run", counting)
+    for out in ("a", "b"):
+        assert main(["constants", "--out", str(tmp_path / out)]) == 0
+    assert len(calls) == 1
+    assert chaoslab.cli._build_parser() is chaoslab.cli._build_parser()
 
 
 def test_fbm_export_paths_roundtrip(tmp_path):

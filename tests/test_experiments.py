@@ -129,6 +129,16 @@ def test_mixture_comparison_rejects_nonpositive_variance_tolerance_before_sampli
         mixture_comparison(2, 0.3, COS, 256, 300, seed=7, variance_tolerance=tolerance)
 
 
+def test_mixture_comparison_rejects_a_single_replica_before_sampling(monkeypatch):
+    # the variance ratio takes ddof=1 variances
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating m")
+
+    monkeypatch.setattr(chaoslab.experiments, "map_paths", no_sampling)
+    with pytest.raises(ValueError, match="m >= 2"):
+        mixture_comparison(2, 0.3, COS, 16, 1, seed=7)
+
+
 def test_mixture_comparison_rejects_a_coarse_n_fine_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before validating n_fine")

@@ -307,10 +307,14 @@ def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, method, n, 
     finally:
         sys.setswitchinterval(interval)
     assert [b.m for b in batches] == [slab_paths] * 4 + [3]
-    assert all(b.method == method and b.seed == 9 for b in batches)
+    assert all(b.seed == 9 for b in batches)
     whole = sample_paths(grid, m, 9, method)
     np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
     np.testing.assert_array_equal(np.concatenate([b.paths for b in batches]), whole.paths)
+
+
+def _digest(batch):
+    return hashlib.sha256(batch.increments.tobytes() + batch.paths.tobytes()).hexdigest()
 
 
 # sha256 of sample_paths(FbmGrid(0.3, 16), 769, 9, "cholesky") increments then
@@ -328,15 +332,17 @@ def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab(monkeypatch, threa
     assert [b.m for b in batches] == [256, 256, 256, 1]
     whole = sample_paths(grid, 769, 9, "cholesky")
     np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
-    digest = hashlib.sha256(whole.increments.tobytes() + whole.paths.tobytes()).hexdigest()
-    assert digest == CHOLESKY_16_769
+    assert _digest(whole) == CHOLESKY_16_769
 
 
-# sha256 of increments then levels, recorded while every slab was 256 rows;
-# a byte-sized Cholesky slab would change the second (GEMM bits depend on rows)
+# sha256 of increments then levels.  The circulant pin was recorded while every
+# slab was 256 rows.  The Cholesky pin is at the largest n a Cholesky plan
+# takes, recorded while the cap was still 4096: 256 rows of 512 normals fill
+# exactly rng.SLAB_BYTES, and a shorter slab would change it (GEMM bits depend
+# on the row count)
 SLAB_PINS = {
     (4096, 1029, "circulant"): "839bfa91b9a1717fbd7eabb6add9c111a1db8986d2b11133311466e24cfefa81",
-    (513, 300, "cholesky"): "9c232d9b06c33b1012ed4d6b062ae8dd5b06f5484664f2524d0225ac82e10bcd",
+    (512, 300, "cholesky"): "20921761e7e07c6af4a458b72f9a661bc760847b1360424c96a49f71c82c40e4",
 }
 
 
@@ -344,9 +350,7 @@ SLAB_PINS = {
 @pytest.mark.parametrize(("n", "m", "method"), sorted(SLAB_PINS))
 def test_sample_paths_bits_survive_byte_sized_slabs(monkeypatch, threads, n, m, method):
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    batch = sample_paths(FbmGrid(0.3, n), m, 9, method)
-    digest = hashlib.sha256(batch.increments.tobytes() + batch.paths.tobytes()).hexdigest()
-    assert digest == SLAB_PINS[n, m, method]
+    assert _digest(sample_paths(FbmGrid(0.3, n), m, 9, method)) == SLAB_PINS[n, m, method]
 
 
 def test_circulant_stream_peak_memory_is_a_few_slabs(monkeypatch):
@@ -423,10 +427,48 @@ def test_sample_paths_method_validation():
     grid = FbmGrid(0.3, 8)
     with pytest.raises(ValueError):
         sample_paths(grid, 1, 0, method="spectral")
+    with pytest.raises(ValueError, match="spectral"):
+        sample_paths(grid, 0, 0, method="spectral")  # checked even when nothing is drawn
     with pytest.raises(ValueError):
         sample_paths(grid, -1, 0)
     with pytest.raises(ValueError, match="cholesky"):
-        sample_paths(FbmGrid(0.3, 8192), 1, 0, method="cholesky")
+        sample_paths(FbmGrid(0.3, 513), 1, 0, method="cholesky")
+
+
+def test_auto_picks_cholesky_up_to_its_cap_and_circulant_above():
+    assert chaoslab.fbm.CHOLESKY_MAX_N == 512
+    at_cap, above = FbmGrid(0.3, 512), FbmGrid(0.3, 513)
+    assert _digest(sample_paths(at_cap, 3, 9)) == _digest(sample_paths(at_cap, 3, 9, "cholesky"))
+    assert _digest(sample_paths(above, 3, 9)) == _digest(sample_paths(above, 3, 9, "circulant"))
+    with pytest.raises(ValueError, match=r"capped at n = 512.*circulant"):
+        sample_paths(above, 3, 9, "cholesky")
+
+
+def _circulant_maps(grid):
+    """The transposes of the circulant transform's two n x 4n maps A0, A1 from a
+    raw row to its even and odd path, fed the 4n unit rows one slab at a time."""
+    n = grid.n
+    transform = chaoslab.fbm._sampler(grid, "circulant").transform
+    height = chaoslab.rng.slab_rows(4 * n)
+    maps = np.empty((2, 4 * n, n))
+    for lo in range(0, 4 * n, height):
+        out = transform(np.eye(height, 4 * n, lo)[: 4 * n - lo])
+        maps[0, lo : lo + height] = out[0::2]
+        maps[1, lo : lo + height] = out[1::2]
+    return maps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 100, 513, 1024])
+def test_circulant_transform_has_the_exact_increment_covariance(n):
+    # the transform is linear, so its unit-row images give the covariance exactly
+    for H in (0.05, 0.3, 0.5, 0.7, 0.95):
+        grid = FbmGrid(H, n)
+        target = grid.increment_covariance()
+        scale = np.abs(target).max()
+        a0t, a1t = _circulant_maps(grid)
+        assert np.abs(a0t.T @ a0t - target).max() <= 1e-12 * scale
+        assert np.abs(a1t.T @ a1t - target).max() <= 1e-12 * scale
+        assert np.abs(a0t.T @ a1t).max() <= 1e-12 * scale
 
 
 def test_cholesky_reconstructs_covariance_exactly():
@@ -459,7 +501,7 @@ def test_methods_agree_statistically_on_lag_one_correlation():
 def test_batch_rejects_bad_increment_shape():
     grid = FbmGrid(0.3, 4)
     with pytest.raises(ValueError):
-        FbmPathBatch(grid, np.zeros((2, 5)), seed=0, method="synthetic")
+        FbmPathBatch(grid, np.zeros((2, 5)), seed=0)
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
@@ -484,7 +526,6 @@ def test_save_load_roundtrip(tmp_path):
     assert back.grid.hurst == pytest.approx(0.35)
     assert back.grid.n == 16
     assert back.seed == 21
-    assert back.method == "file"
     np.testing.assert_array_equal(back.increments, np.diff(batch.paths, axis=1))
 
 

@@ -1,10 +1,15 @@
-"""No unused imports in the package, its tests or its demos.
+"""Static scans of the sources: no unused imports, and no new knobs.
 
-No linter ships with the project, so this is pyflakes' F401 check in small:
-a name an import binds must be read somewhere in its module, be listed in the
-module's ``__all__`` (a re-export), or sit on a line marked ``# noqa: F401``.
-Names are matched module-wide, not per scope, so the check can miss an
-import shadowed by a local name but never flags a used one.
+No linter ships with the project, so the first scan is pyflakes' F401 check
+in small: a name an import binds must be read somewhere in its module, be
+listed in the module's ``__all__`` (a re-export), or sit on a line marked
+``# noqa: F401``.  Names are matched module-wide, not per scope, so the check
+can miss an import shadowed by a local name but never flags a used one.
+
+The second is a ratchet on the package's knobs: the defaulted parameters of
+its public functions and methods plus the field defaults of its public
+dataclasses and NamedTuples ("public" meaning no leading underscore).  A
+change that adds an option raises ``MAX_KNOBS`` in its own diff.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path for folder in ("src", "tests", "demos") for path in (ROOT / folder).rglob("*.py")
 )
+MAX_KNOBS = 40
 
 
 def _bound_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -75,3 +81,61 @@ def test_the_scan_flags_an_unused_import_and_spares_the_exempt_ones():
     tree = ast.parse(source)
     bound = _bound_names(tree, source.splitlines())
     assert sorted(name for name in bound if name not in _read_names(tree)) == ["os"]
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated with ``dataclass`` or derived from ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    names = {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}
+    bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+    return "dataclass" in names or "NamedTuple" in bases
+
+
+def _knobs(tree: ast.Module) -> list[str]:
+    """One entry per default of a public function, method or record field."""
+    def defaults(func, owner: str) -> list[str]:
+        if func.name.startswith("_"):
+            return []
+        args = func.args
+        count = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        return [owner + func.name] * count
+
+    knobs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            knobs += defaults(node, "")
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    knobs += defaults(item, node.name + ".")
+                elif isinstance(item, ast.AnnAssign) and item.value is not None and _is_record(node):
+                    knobs.append(f"{node.name}.{item.target.id}")
+    return knobs
+
+
+def test_the_package_grows_no_new_knobs():
+    knobs = []
+    for path in sorted((ROOT / "src" / "chaoslab").glob("*.py")):
+        knobs += [f"{path.stem}.{knob}" for knob in _knobs(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(knobs) <= MAX_KNOBS, knobs
+
+
+def test_the_knob_count_covers_functions_methods_and_record_fields():
+    source = (
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "def _g(a=1): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class R:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    def h(self, z=None): pass\n"
+        "class T(NamedTuple):\n"
+        "    w: float = 1.0\n"
+        "class Plain:\n"
+        "    v: int = 3\n"
+        "class _Hidden(NamedTuple):\n"
+        "    u: int = 0\n"
+    )
+    assert _knobs(ast.parse(source)) == ["f", "f", "R.y", "R.h", "T.w"]

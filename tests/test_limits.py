@@ -29,16 +29,20 @@ ONE = WeightFunction.constant()
 # -- mixture limit sampler -------------------------------------------------------
 
 
-def test_mixture_spec_resolved_sigma():
-    spec = MixtureSpec(2, 0.3, ONE)
-    assert spec.resolved_sigma() == pytest.approx(sigma_hq(0.3, 2).sigma, abs=1e-12)
-    fixed = MixtureSpec(2, 0.3, ONE, sigma=1.5)
-    assert fixed.resolved_sigma() == 1.5
+def _spec(H, weight, **kwargs):
+    """The q = 2 mixture law at H, with sigma = sigma_{H,2}."""
+    return MixtureSpec(2, H, weight, sigma_hq(H, 2).sigma, **kwargs)
+
+
+def test_mixture_spec_rejects_a_coarse_n_fine_on_construction():
+    with pytest.raises(ValueError, match="n_fine must be at least 1024, got 512"):
+        _spec(0.3, ONE, n_fine=512)
+    assert _spec(0.3, ONE, n_fine=1024).n_fine == 1024
 
 
 def test_mixture_constant_weight_is_pure_gaussian():
     # f = 1: S^2 = sigma^2 exactly; values are sigma * Z
-    spec = MixtureSpec(2, 0.5, ONE, n_fine=1024)
+    spec = _spec(0.5, ONE, n_fine=1024)
     sample = sample_mixture_limit(spec, 50_000, seed=3)
     sigma_sq = sigma_hq(0.5, 2).sigma_sq
     np.testing.assert_allclose(sample.conditional_variances, sigma_sq, atol=1e-12)
@@ -52,7 +56,7 @@ def test_mixture_constant_weight_is_pure_gaussian():
 
 def test_mixture_standardized_values_are_conditionally_gaussian():
     # dividing by the predicted conditional sd must give exact N(0,1) moments
-    spec = MixtureSpec(2, 0.3, WeightFunction.polynomial(0.0, 1.0), n_fine=1024)
+    spec = _spec(0.3, WeightFunction.polynomial(0.0, 1.0), n_fine=1024)
     sample = sample_mixture_limit(spec, 20_000, seed=5)
     z = sample.values / np.sqrt(sample.conditional_variances)
     m = z.size
@@ -65,7 +69,7 @@ def test_mixture_linear_weight_mean_conditional_variance():
     # f = x: E S^2 = sigma^2 E int B^2 = sigma^2 / (2H + 1), up to the
     # left-endpoint Riemann bias of order 1/n_fine.
     H = 0.3
-    spec = MixtureSpec(2, H, WeightFunction.polynomial(0.0, 1.0), n_fine=2048)
+    spec = _spec(H, WeightFunction.polynomial(0.0, 1.0), n_fine=2048)
     sample = sample_mixture_limit(spec, 20_000, seed=7)
     sigma_sq = sigma_hq(H, 2).sigma_sq
     target = sigma_sq / (2.0 * H + 1.0)
@@ -78,8 +82,8 @@ def test_mixture_shift_coupling():
     # shift integral computed from the same path: for f = x^3 and q = 2,
     # shift = c * int f''(B) = 6c int B, whose correlation with
     # S^2 = sigma^2 int B^6 is visible
-    spec = MixtureSpec(
-        2, 0.25, WeightFunction.polynomial(0.0, 0.0, 0.0, 1.0), n_fine=1024, shift_coefficient=0.25
+    spec = _spec(
+        0.25, WeightFunction.polynomial(0.0, 0.0, 0.0, 1.0), n_fine=1024, shift_coefficient=0.25
     )
     sample = sample_mixture_limit(spec, 5000, seed=9)
     assert float(np.std(sample.shifts)) > 0
@@ -90,7 +94,7 @@ def test_mixture_shift_coupling():
 
 
 def test_mixture_chunking_invariance_and_determinism():
-    spec = MixtureSpec(2, 0.35, ONE, n_fine=1024)
+    spec = _spec(0.35, ONE, n_fine=1024)
     big = sample_mixture_limit(spec, 2100, seed=11)  # crosses the chunk size
     small = sample_mixture_limit(spec, 50, seed=11)
     np.testing.assert_array_equal(big.values[:50], small.values)
@@ -99,11 +103,9 @@ def test_mixture_chunking_invariance_and_determinism():
 
 
 def test_mixture_validation():
-    with pytest.raises(ValueError, match="n_fine"):
-        sample_mixture_limit(MixtureSpec(2, 0.3, ONE, n_fine=512), 10, seed=0)
     with pytest.raises(ValueError):
-        sample_mixture_limit(MixtureSpec(2, 0.3, ONE), -1, seed=0)
-    empty = sample_mixture_limit(MixtureSpec(2, 0.3, ONE), 0, seed=0)
+        sample_mixture_limit(_spec(0.3, ONE), -1, seed=0)
+    empty = sample_mixture_limit(_spec(0.3, ONE), 0, seed=0)
     assert empty.values.shape == (0,)
 
 
@@ -188,8 +190,7 @@ def test_ks_empty_input_rejected():
 
 
 def _mixture_draw(m, seed, shifted=False):
-    spec = MixtureSpec(
-        2,
+    spec = _spec(
         0.3,
         WeightFunction.cosine(1.0, 1.0),
         n_fine=1024,
@@ -406,6 +407,8 @@ def test_brownian_example_validation():
         brownian_example_run(0, 10, seed=0)
     with pytest.raises(ValueError):
         brownian_example_run(4, 0, seed=0)
+    with pytest.raises(ValueError, match="m >= 2"):
+        brownian_example_run(4, 1, seed=0)  # ddof=1 variances need two replicas
 
 
 @pytest.mark.parametrize("resolution", [0, 1])
@@ -473,7 +476,7 @@ BERRY_ESSEEN_PIN = "1c08408e49651c96904ff4e0c3ac5061aa1a2d1f6866b6245baa1641f662
 def test_mixture_limit_with_shift_bits_pinned_at_any_thread_count(monkeypatch, threads):
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
     cos = WeightFunction.cosine(1.0, 1.0)
-    spec = MixtureSpec(2, 0.25, cos, n_fine=1024, shift_coefficient=0.25)
+    spec = _spec(0.25, cos, n_fine=1024, shift_coefficient=0.25)
     sample = sample_mixture_limit(spec, 1500, seed=6)
     digest = _sha256(sample.values, sample.conditional_variances, sample.shifts)
     assert digest == MIXTURE_LIMIT_PIN

@@ -193,17 +193,15 @@ def test_map_slabs_numbers_do_not_depend_on_the_slab_height(monkeypatch, threads
         return consume
 
     map_slabs(8, row_len, rows, collect(None))
-    map_slabs(8, row_len, rows, collect(SLAB_ROWS), rows_per_slab=SLAB_ROWS)
     heights = {len(slab) for (height, _), slab in drawn.items() if height is None}
     assert heights == {rng.slab_rows(row_len), rows % rng.slab_rows(row_len)}
+    # room for SLAB_ROWS of these rows in a slab
+    monkeypatch.setattr(rng, "SLAB_BYTES", SLAB_ROWS * row_len * 8)
+    assert rng.slab_rows(row_len) == SLAB_ROWS
+    map_slabs(8, row_len, rows, collect(SLAB_ROWS))
 
     def joined(height):
         return np.concatenate([drawn[key] for key in sorted(k for k in drawn if k[0] == height)])
 
     np.testing.assert_array_equal(joined(None), joined(SLAB_ROWS))
     np.testing.assert_array_equal(joined(None), normal_rows(8, 0, rows, row_len))
-
-
-def test_map_slabs_rejects_a_slab_that_does_not_divide_a_block():
-    with pytest.raises(ValueError, match="does not divide"):
-        map_slabs(1, 4, 10, lambda start, slab: None, rows_per_slab=3)

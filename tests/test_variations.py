@@ -12,11 +12,11 @@ from chaoslab.tensors import SymTensor
 from chaoslab.variations import (
     a_n_statistic,
     classify_regime,
+    correction_constant,
     decompose_gn,
     full_variation,
     sigma_hq,
     skorohod_weighted_closed_form,
-    weighted_variation,
 )
 from chaoslab.weights import WeightFunction
 
@@ -92,7 +92,7 @@ def test_sigma_hq_divergence_error():
 
 def _synthetic_batch(H, n, increments):
     grid = FbmGrid(H, n)
-    return FbmPathBatch(grid, np.asarray(increments, dtype=float), seed=0, method="synthetic")
+    return FbmPathBatch(grid, np.asarray(increments, dtype=float), seed=0)
 
 
 def test_weighted_variation_constant_weight_h_half_moments():
@@ -100,7 +100,7 @@ def test_weighted_variation_constant_weight_h_half_moments():
     # mean 0 and variance exactly 2 (iid chi-square-minus-one increments).
     grid = FbmGrid(0.5, 64)
     batch = sample_paths(grid, 20_000, seed=3)
-    result = weighted_variation(batch, 2, ONE)
+    result = full_variation(batch, 2, ONE)
     m = result.m
     se_mean = math.sqrt(2.0 / m)
     assert abs(float(result.gn.mean())) < 4 * se_mean
@@ -114,22 +114,22 @@ def test_weighted_variation_zero_increments_closed_form():
     n = 16
     batch = _synthetic_batch(0.3, n, np.zeros((3, n)))
     for q, he0 in ((1, 0.0), (2, -1.0), (3, 0.0), (4, 3.0)):
-        result = weighted_variation(batch, q, ONE)
+        result = full_variation(batch, q, ONE)
         expected = he0 * n / math.sqrt(n)
         np.testing.assert_allclose(result.gn, expected * np.ones(3), atol=1e-12)
 
 
 def test_weighted_variation_zero_weight():
     batch = sample_paths(FbmGrid(0.3, 8), 4, seed=1)
-    result = weighted_variation(batch, 2, WeightFunction.polynomial(0.0))
+    result = full_variation(batch, 2, WeightFunction.polynomial(0.0))
     np.testing.assert_allclose(result.gn, np.zeros(4), atol=0)
 
 
 def test_weighted_variation_scaled_is_monic_over_factorial():
     batch = sample_paths(FbmGrid(0.35, 32), 6, seed=5)
     f = WeightFunction.polynomial(1.0, 1.0)
-    monic = weighted_variation(batch, 3, f).gn
-    scaled = weighted_variation(batch, 3, f, normalization="scaled").gn
+    monic = full_variation(batch, 3, f).gn
+    scaled = full_variation(batch, 3, f, normalization="scaled").gn
     np.testing.assert_allclose(scaled, monic / 6.0, atol=1e-14)
 
 
@@ -137,8 +137,7 @@ def test_mean_square_weight_is_per_path_mean_of_f_squared():
     f = WeightFunction.polynomial(0.5, -1.0, 0.25)
     batch = sample_paths(FbmGrid(0.3, 32), 40, seed=4)
     expected = np.mean(f(batch.levels_at_increment_start()) ** 2, axis=1)
-    for result in (weighted_variation(batch, 2, f), full_variation(batch, 2, f)):
-        np.testing.assert_array_equal(result.mean_square_weight, expected)
+    np.testing.assert_array_equal(full_variation(batch, 2, f).mean_square_weight, expected)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -152,13 +151,19 @@ def test_mean_weight_derivative_is_per_path_mean_of_f_q(q):
 def test_weighted_variation_validation():
     batch = sample_paths(FbmGrid(0.3, 8), 1, seed=0)
     with pytest.raises(ValueError):
-        weighted_variation(batch, 0, ONE)
+        full_variation(batch, 0, ONE)
     with pytest.raises(ValueError):
-        weighted_variation(batch, 2, ONE, normalization="probabilist")
+        full_variation(batch, 2, ONE, normalization="probabilist")
 
 
 def _correction(batch, q, f, normalization="monic"):
     return full_variation(batch, q, f, normalization).correction
+
+
+@pytest.mark.parametrize("q", range(1, 12))
+def test_correction_constant_is_the_closed_form_to_the_bit(q):
+    assert correction_constant(q, "monic") == (-1.0) ** q / 2.0**q
+    assert correction_constant(q, "scaled") == (-1.0) ** q / (2.0**q * math.factorial(q))
 
 
 def test_correction_term_closed_forms():
@@ -293,7 +298,7 @@ def test_decompose_q1_constant_weight():
     batch = sample_paths(FbmGrid(0.3, 32), 4, seed=9)
     comps = decompose_gn(batch, 1, ONE)
     assert set(comps) == {"main", "remainder"}
-    gn = weighted_variation(batch, 1, ONE).gn
+    gn = full_variation(batch, 1, ONE).gn
     np.testing.assert_allclose(comps["main"], gn, atol=1e-12)
     np.testing.assert_allclose(comps["remainder"], np.zeros(4), atol=1e-15)
 
@@ -308,7 +313,7 @@ def test_decompose_q1_general_weight_remainder():
     levels = batch.levels_at_increment_start()
     expected = n ** (H - 0.5) * (alphas[None, :] * f(levels, 1)).sum(axis=1)
     np.testing.assert_allclose(comps["remainder"], expected, atol=1e-13)
-    gn = weighted_variation(batch, 1, f).gn
+    gn = full_variation(batch, 1, f).gn
     np.testing.assert_allclose(sum(comps.values()), gn, atol=1e-10)
 
 
@@ -319,7 +324,7 @@ def test_decomposition_residual_tiny(q, H):
     f = WeightFunction.cosine(1.0, 1.0)
     comps = decompose_gn(batch, q, f)
     assert len(comps) == q + 1
-    gn = weighted_variation(batch, q, f).gn
+    gn = full_variation(batch, q, f).gn
     residual = np.max(np.abs(gn - sum(comps.values())))
     assert residual <= 1e-8
 
@@ -344,7 +349,7 @@ def test_full_variation_mixed_clt_wiring():
     np.testing.assert_allclose(
         result.renormalized, result.gn - result.correction, atol=1e-14
     )
-    assert result.extras["max_residual"] <= 1e-8
+    assert result.max_residual <= 1e-8
     assert set(result.components) == {"main", "middle_1", "remainder"}
 
 
@@ -367,6 +372,7 @@ def test_full_variation_q1_has_no_regime():
     result = full_variation(batch, 1, ONE)
     assert result.regime is None
     assert result.renormalized is None
+    assert result.components is None and result.max_residual is None
 
 
 def test_variation_result_csv_layout():
