@@ -14,8 +14,10 @@ only.  ``map_paths`` is the one path loop: it builds the sampler plan for
 one ``rng.slab_rows(row)``-row RNG slab at a time on the block pool of
 ``rng.map_slabs``, each block drawn once.  A Cholesky row of n <= 512
 normals always gives a full ``rng.SLAB_ROWS``-row slab; a circulant slab is
-transformed in one reused buffer per pool thread, so its working set stays
-in cache at any n.  ``sample_paths`` is its consumer that fills one array.
+transformed by ``numpy.fft`` in place in one reused buffer per pool thread,
+so its working set stays in cache at any n.  ``sample_paths`` is its
+consumer that fills one array.  Only a Cholesky plan loads scipy (in
+:func:`cholesky`), so circulant sampling runs on numpy alone.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -33,8 +35,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.fft
-from scipy.linalg import cholesky, toeplitz
 
 from .report import TestReport
 from .rng import derive_seed, map_slabs, slab_rows, worker_count
@@ -241,6 +241,18 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
     return 1.0 + 2.0 * total
 
 
+def toeplitz_rows(first_row: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix T[i, j] = first_row[|i - j|], as a read-only view.
+
+    Row i is the window mirrored[n-1-i : 2n-1-i] of the mirrored lag vector
+    first_row[n-1], ..., first_row[1], first_row[0], ..., first_row[n-1], so
+    no n x n array is built; ``.copy()`` gives the C-ordered matrix that
+    ``scipy.linalg.toeplitz(first_row)`` builds, with the same bits.
+    """
+    mirrored = np.concatenate([first_row[:0:-1], first_row])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, len(first_row))[::-1]
+
+
 # ---------------------------------------------------------------------------
 # grids and path batches
 # ---------------------------------------------------------------------------
@@ -262,7 +274,7 @@ class FbmGrid:
     def increment_covariance(self) -> np.ndarray:
         """Dense n x n covariance of the increments (Toeplitz in the lag)."""
         first_row = self.n ** (-2.0 * self.hurst) * np.asarray(rho(self.hurst, np.arange(self.n)))
-        return toeplitz(first_row)
+        return toeplitz_rows(first_row).copy()
 
 
 @dataclass(frozen=True)
@@ -310,12 +322,26 @@ def embedding_spectrum(grid: FbmGrid) -> np.ndarray:
 
     The first row of the circulant is the autocovariance at lags
     0..n-1, n, n-1..1 (the even reflection), so its eigenvalues are the real
-    FFT values of that row.  Returned unclipped for diagnostics.
+    FFT values of that row.  The row is even, so its spectrum is real and even:
+    the real-input FFT gives lambda_0..lambda_n, mirrored back to length 2n
+    (the bits of the real part of the full complex FFT).  Returned unclipped
+    for diagnostics.
     """
     n = grid.n
     cov = grid.n ** (-2.0 * grid.hurst) * np.asarray(rho(grid.hurst, np.arange(n + 1)))
     row = np.concatenate([cov[:n], cov[n:], cov[n - 1 : 0 : -1]])
-    return np.real(scipy.fft.fft(row))
+    half = np.fft.rfft(row).real
+    return np.concatenate([half, half[n - 1 : 0 : -1]])
+
+
+def cholesky(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``matrix`` by ``scipy.linalg``, imported on first call.
+
+    Only a Cholesky sampler plan (n <= ``CHOLESKY_MAX_N``) calls it, once per plan.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.cholesky(matrix, lower=True)
 
 
 def _resolve_method(grid: FbmGrid, method: str) -> str:
@@ -353,12 +379,12 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
     differently from 256-row ones).  It runs on a one-thread pool: its GEMM
     already uses the BLAS threads, and two GEMMs at once run slower.  A
     circulant transform is row by row, so its byte-sized ``rng.slab_rows(4n)``
-    rows may be any height; it runs one single-threaded FFT per pool thread
-    in place in that thread's buffer.
+    rows may be any height; it runs one ``numpy.fft.ifft`` (single-threaded)
+    per pool thread, in place in that thread's buffer.
     """
     n = grid.n
     if method == "cholesky":
-        factor_t = cholesky(grid.increment_covariance(), lower=True).T
+        factor_t = cholesky(grid.increment_covariance()).T
         return _Plan("fgn-cholesky", n, 1, 1, lambda raw: raw @ factor_t)
     # one complex transform yields two paths
     M = 2 * n
@@ -381,7 +407,7 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
         z.real = raw[:, :M]
         z.imag = raw[:, M:]
         z *= weights
-        z = scipy.fft.ifft(z, axis=1, workers=1, overwrite_x=True)
+        np.fft.ifft(z, axis=1, out=z)
         z *= M  # undo the 1/M of the inverse transform; net scale 1/sqrt(M)
         # pair row -> [even path | odd path] -> two consecutive path rows
         pairs = np.empty((len(raw), 2, n))

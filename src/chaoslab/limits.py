@@ -37,11 +37,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.fft
-from scipy.linalg import toeplitz
-from scipy.special import ndtr
 
-from .fbm import FbmGrid, FbmPathBatch, map_paths, rho
+from .fbm import FbmGrid, FbmPathBatch, map_paths, rho, toeplitz_rows
 from .report import TestReport
 from .rng import derive_seed, map_slabs, normal_rows, slab_rows, worker_count
 from .weights import WeightFunction
@@ -257,8 +254,8 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     n <= 4096 (M^2 squared in place, after M is freed) and by blocked
     Toeplitz multiplication beyond: ``CHAOS2_BLOCK`` rows of M at a time,
     each a window of one mirrored lag vector, are multiplied by M with
-    row-wise FFTs against one embedding spectrum, so no n x n array is
-    built.  Each block's squares are summed in the order of the (n, block)
+    row-wise ``scipy.fft`` transforms (on ``rng.worker_count()`` workers)
+    against one embedding spectrum, so no n x n array is built.  Each block's squares are summed in the order of the (n, block)
     product M @ columns, and the blocks in order.
     """
     if n < 1:
@@ -270,18 +267,18 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     weights = np.concatenate([[float(n)], 2.0 * (n - lags[1:])])
     tr_m2 = float(weights @ (r**2))
 
+    windows = toeplitz_rows(r)  # row i of M, a window of the mirrored lags
     if n <= CHAOS2_DENSE_MAX_N:
-        dense = toeplitz(r)
+        dense = windows.copy()
         square = dense @ dense
         del dense
         np.square(square, out=square)
         tr_m4 = float(np.sum(square))
     else:
-        # row i of M is mirrored[n-1-i : 2n-1-i]; M is symmetric, so rows
-        # lo..hi-1 are its columns lo..hi-1, and M @ columns is a circulant
-        # product of length 2n-1 taken along each row
-        mirrored = np.concatenate([r[:0:-1], r])
-        windows = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
+        import scipy.fft  # for its FFT worker threads
+
+        # M is symmetric, so rows lo..hi-1 are its columns lo..hi-1, and
+        # M @ columns is a circulant product of length 2n-1 taken along each row
         length = 2 * n - 1
         workers = worker_count()
         spectrum = scipy.fft.rfft(np.concatenate([r, r[:0:-1]]), workers=workers)
@@ -323,6 +320,8 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
         raise ValueError("the fourth-moment bound needs H in (0, 3/4)")
     if m < 1:
         raise ValueError("m must be >= 1")
+    from scipy.special import ndtr
+
     started = time.perf_counter()
     moments = chaos2_fourth_moment_exact(H, n)
     bound = berry_esseen_coefficient(2) * math.sqrt(abs(moments.normalized_m4 - 3.0))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .fbm import FbmPathBatch, alpha_diag, del_norm, rho, signed_rho_power_sum
 from .hermite import hermite_eval, normalization_scale
@@ -372,8 +371,9 @@ def a_n_statistic(batch: FbmPathBatch, q: int, f: WeightFunction) -> np.ndarray:
 
     Since beta_{l,j} = n^{-2H} rho(l-j), this reduces to
     (q!/n) sum_{l,j} rho(l-j)^q f_l f_j, computed per path over the lag band
-    where |rho|^q >= 1e-14 (direct banded sums for narrow bands, one FFT
-    autocorrelation per path otherwise; both exact to well below tolerance).
+    where |rho|^q >= 1e-14 (direct banded sums for narrow bands, one
+    ``scipy.fft`` autocorrelation per path otherwise, the only use of scipy
+    here; both exact to well below tolerance).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -393,6 +393,8 @@ def a_n_statistic(batch: FbmPathBatch, q: int, f: WeightFunction) -> np.ndarray:
             overlap = (weights[:, lag:] * weights[:, :-lag]).sum(axis=1)
             total = total + 2.0 * lag_weights[lag] * overlap
     else:
+        import scipy.fft
+
         size = scipy.fft.next_fast_len(2 * n, real=True)
         spectrum = scipy.fft.rfft(weights, size, axis=1)
         autocorr = scipy.fft.irfft(np.abs(spectrum) ** 2, size, axis=1)[:, :n]

@@ -2,13 +2,18 @@
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 
 import chaoslab.fbm
 import chaoslab.rng
@@ -232,6 +237,101 @@ def test_embedding_spectrum_trace_identity():
         spectrum = embedding_spectrum(FbmGrid(H, n))
         assert spectrum.shape == (2 * n,)
         assert spectrum.sum() == pytest.approx(2.0 * n ** (1.0 - 2.0 * H), rel=1e-10)
+
+
+# -- numpy.fft and the sliding-window Toeplitz give scipy's bits -----------------
+
+
+def _embedding_row(grid):
+    n = grid.n
+    cov = n ** (-2.0 * grid.hurst) * np.asarray(rho(grid.hurst, np.arange(n + 1)))
+    return np.concatenate([cov[:n], cov[n:], cov[n - 1 : 0 : -1]])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 4096, 5000])
+def test_embedding_spectrum_has_the_bits_of_the_complex_fft(n):
+    for H in (0.05, 0.3, 0.5, 0.8, 0.99):
+        grid = FbmGrid(H, n)
+        assert _same_bits(embedding_spectrum(grid), np.real(scipy.fft.fft(_embedding_row(grid)))), H
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 777])
+def test_toeplitz_rows_copy_is_scipys_toeplitz(n):
+    first_row = np.random.default_rng(n).standard_normal(n)
+    rows = chaoslab.fbm.toeplitz_rows(first_row)
+    assert not rows.flags.writeable
+    dense = rows.copy()
+    assert dense.flags.c_contiguous
+    assert _same_bits(dense, scipy.linalg.toeplitz(first_row))
+    grid = FbmGrid(0.3, n)
+    first_cov = n ** -0.6 * np.asarray(rho(0.3, np.arange(n)))
+    assert _same_bits(grid.increment_covariance(), scipy.linalg.toeplitz(first_cov))
+
+
+def _scipy_circulant_transform(grid, raw):
+    """The circulant transform as it ran on scipy.fft: the spectrum from the
+    full complex FFT, and ``scipy.fft.ifft(..., workers=1, overwrite_x=True)``."""
+    n = grid.n
+    M = 2 * n
+    lam = np.real(scipy.fft.fft(_embedding_row(grid)))
+    weights = np.sqrt(np.clip(lam, 0.0, None) / M)
+    z = np.empty((len(raw), M), dtype=complex)
+    z.real = raw[:, :M]
+    z.imag = raw[:, M:]
+    z *= weights
+    z = scipy.fft.ifft(z, axis=1, workers=1, overwrite_x=True)
+    z *= M
+    pairs = np.empty((len(raw), 2, n))
+    pairs[:, 0] = z.real[:, :n]
+    pairs[:, 1] = z.imag[:, :n]
+    return pairs.reshape(2 * len(raw), n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, 4096])
+def test_circulant_transform_has_the_bits_of_the_scipy_transform(n):
+    rng_local = np.random.default_rng(n)
+    for H in (0.3, 0.8):
+        grid = FbmGrid(H, n)
+        transform = chaoslab.fbm._sampler(grid, "circulant").transform
+        # two full slabs through the same per-thread buffer, then a short one
+        for height in (chaoslab.rng.slab_rows(4 * n),) * 2 + (3,):
+            raw = rng_local.standard_normal((height, 4 * n))
+            assert _same_bits(transform(raw), _scipy_circulant_transform(grid, raw)), (H, height)
+
+
+_BLAS_PROBE = """
+import hashlib
+from chaoslab.fbm import FbmGrid, sample_paths
+from chaoslab.limits import brownian_example_run
+
+fbm = hashlib.sha256()
+for n in (3, 64, 1000):
+    for H in (0.1, 0.8):
+        fbm.update(sample_paths(FbmGrid(H, n), 301, 9, "circulant").increments.tobytes())
+_, arrays = brownian_example_run(16, 64, 5, resolution=2048)
+brownian = hashlib.sha256(b"".join(column.tobytes() for column in arrays.values()))
+print(fbm.hexdigest(), brownian.hexdigest())
+"""
+
+
+def test_circulant_and_brownian_bits_do_not_depend_on_the_blas_thread_count():
+    # Cholesky bits do (a GEMM's rounding follows its BLAS thread split);
+    # the circulant plan and the Brownian example use no BLAS call
+    src = str(Path(chaoslab.fbm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "CHAOSLAB_THREADS": "2",
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_embedding_spectrum_nonnegative_across_hurst_range():

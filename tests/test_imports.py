@@ -1,4 +1,5 @@
-"""Static scans of the sources: no unused imports, and no new knobs.
+"""Static scans of the sources (no unused imports, no new knobs), and which
+subcommands load scipy.
 
 No linter ships with the project, so the first scan is pyflakes' F401 check
 in small: a name an import binds must be read somewhere in its module, be
@@ -10,11 +11,20 @@ The second is a ratchet on the package's knobs: the defaulted parameters of
 its public functions and methods plus the field defaults of its public
 dataclasses and NamedTuples ("public" meaning no leading underscore).  A
 change that adds an option raises ``MAX_KNOBS`` in its own diff.
+
+The last test runs subcommands in a fresh interpreter: the circulant
+sampler, the Brownian example and the exact tables run on numpy alone, and
+scipy (0.4 s and 25 MB to import) loads only where one of its functions is
+called.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,3 +149,45 @@ def test_the_knob_count_covers_functions_methods_and_record_fields():
         "    u: int = 0\n"
     )
     assert _knobs(ast.parse(source)) == ["f", "f", "R.y", "R.h", "T.w"]
+
+
+_SCIPY_PROBE = """
+import json, sys
+from chaoslab.cli import main
+
+out, config = sys.argv[1:]
+def report_scipy_modules():
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    print("scipy modules:", json.dumps(loaded))
+
+for argv in (
+    ["limit-test", "--q", "2", "--H", "0.3", "--n", "4096", "--m", "4", "--weight", "cos:1,1"],
+    ["example-brownian", "--n", "16", "--m", "8"],
+    ["identities", "--config", config],
+    ["constants"],
+    ["fbm", "--n", "1024", "--m", "4"],
+):
+    assert main([*argv, "--out", out]) in (0, 1), argv
+report_scipy_modules()
+assert main(["berry-esseen", "--H", "0.5", "--n", "16", "--m", "64", "--out", out]) in (0, 1)
+report_scipy_modules()
+"""
+
+
+def test_numpy_only_subcommands_never_load_scipy(tmp_path):
+    config = tmp_path / "identities.json"
+    config.write_text(json.dumps({"instances": 12}), encoding="utf-8")
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(config)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    prefix = "scipy modules:"
+    before, after = (json.loads(line[len(prefix):]) for line in done.stdout.splitlines()
+                     if line.startswith(prefix))
+    assert before == []
+    assert "scipy" in after  # the Cholesky factor and ndtr
