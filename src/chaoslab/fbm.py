@@ -70,10 +70,10 @@ BOUNDS_H = (0.1, 0.2, 0.3, 0.4, 0.45)
 BOUNDS_Q = (2, 3)
 BOUNDS_N = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 BOUNDS_TRIPLES = 10_000
-# the rho^q lag series is summed this many lags at a time; a power raised on
-# several threads is split into parts of at least POWER_PART elements
+# the rho^q lag series is summed this many lags at a time, each chunk in pool
+# tasks of at most SERIES_LEAF lags (about 1 MiB of work) along np.sum's tree
 SERIES_CHUNK = 1 << 22
-POWER_PART = 1 << 16
+SERIES_LEAF = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -160,42 +160,45 @@ def signed_rho_power_sum(H: float, q: int, tol: float = 1e-12) -> float:
     return _rho_power_series(H, q, tol, signed=True)
 
 
-def _raise_in_place(x: np.ndarray, exponent, pool: ThreadPoolExecutor, threads: int) -> None:
-    """x ** exponent into x, in up to ``threads`` contiguous parts on ``pool``.
-
-    Uses the ufunc that numpy's ``**`` operator picks for ``exponent``
-    (``square`` for the int 2, ``sqrt`` for the float 0.5, ``power``
-    otherwise), so every element gets the bits ``x ** exponent`` gives it,
-    whatever the split.  Parts are at least ``POWER_PART`` elements long.
-    """
+def _raise_in_place(x: np.ndarray, exponent) -> None:
+    """x ** exponent into x, by the ufunc numpy's ``**`` picks (``square`` for
+    the int 2, ``sqrt`` for the float 0.5, ``power`` otherwise), so with its bits."""
     if type(exponent) is int and exponent == 2:
-        ufunc, args = np.square, ()
+        np.square(x, out=x)
     elif type(exponent) is float and exponent == 0.5:
-        ufunc, args = np.sqrt, ()
+        np.sqrt(x, out=x)
     else:
-        ufunc, args = np.power, (exponent,)
+        np.power(x, exponent, out=x)
 
-    def run(lo: int, hi: int) -> None:
-        ufunc(x[lo:hi], *args, out=x[lo:hi])
 
-    parts = max(1, min(threads, len(x) // POWER_PART))
-    if parts == 1:
-        run(0, len(x))
-        return
-    bounds = [len(x) * i // parts for i in range(parts + 1)]
-    for _ in pool.map(run, bounds[:-1], bounds[1:]):
-        pass
+def _pairwise_leaves(lo: int, hi: int, leaf: int) -> list[tuple[int, int]]:
+    """The leaves of at most ``max(leaf, 128)`` elements, in order, of
+    ``np.sum``'s pairwise tree over [lo, hi): numpy sums more than 128 elements
+    as the sum of two halves, the left one rounded down to a multiple of 8."""
+    if hi - lo <= max(leaf, 128):
+        return [(lo, hi)]
+    mid = lo + (hi - lo) // 16 * 8
+    return _pairwise_leaves(lo, mid, leaf) + _pairwise_leaves(mid, hi, leaf)
+
+
+def _pairwise_fold(lo: int, hi: int, sums: dict[tuple[int, int], float]) -> float:
+    """The ``sums`` of the leaves of [lo, hi), keyed by range, added along that
+    tree: the bits of one ``np.sum`` over [lo, hi) if each is a leaf's ``np.sum``."""
+    if (lo, hi) in sums:
+        return sums[lo, hi]
+    mid = lo + (hi - lo) // 16 * 8
+    return _pairwise_fold(lo, mid, sums) + _pairwise_fold(mid, hi, sums)
 
 
 def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
     """1 + 2 sum_{r=1}^{R} rho_H(r)^q (or |rho_H(r)|^q), R from the tail bound.
 
-    Lags are summed in chunks of ``SERIES_CHUNK``, each chunk with one
-    ``np.sum`` and added to the total in order.  Each chunk raises k^{2H}
-    once per lag k = lo-1 .. hi and forms rho from neighbouring powers in
-    ``rho``'s own order of operations, all in place in two chunk-sized
-    arrays; the powers run on ``rng.worker_count()`` threads.  The result
-    has the bits of summing ``rho(H, lags) ** q`` chunk by chunk.
+    Chunks of ``SERIES_CHUNK`` lags are added in order, each the fold of its
+    ``_pairwise_leaves`` of ``SERIES_LEAF`` lags, one task each on
+    ``rng.worker_count()`` threads: a leaf raises k^{2H} once per lag k =
+    lo-1 .. hi, forms rho from neighbouring powers in ``rho``'s order of
+    operations, raises it to q as ``**`` does and sums it.  The result has
+    the bits of summing ``rho(H, lags) ** q`` with one ``np.sum`` per chunk.
     """
     H = _check_hurst(H)
     if q < 1:
@@ -218,26 +221,27 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
                 f"tolerance {tol} needs more than {1 << 31} lag terms near the "
                 "summability boundary; use a larger tol"
             )
-    # chunked, fixed-order summation: bounded memory, deterministic result
+
+    def leaf_sum(lo: int, hi: int) -> float:
+        # k^{2H} for k = lo-1 .. hi; lag k needs those at k-1, k, k+1
+        powers = np.arange(lo - 1, hi + 1, dtype=float)
+        _raise_in_place(powers, 2 * H)
+        terms = np.multiply(powers[1:-1], 2.0)
+        np.subtract(powers[2:], terms, out=terms)
+        np.add(terms, powers[:-2], out=terms)
+        np.multiply(terms, 0.5, out=terms)  # rho(H, k), as rho orders it
+        _raise_in_place(terms, q)
+        if not signed:
+            np.abs(terms, out=terms)
+        return float(np.sum(terms))
+
     total = 0.0
-    threads = worker_count()
-    values = np.empty(min(SERIES_CHUNK, R))
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(worker_count()) as pool:
         for lo in range(1, R + 1, SERIES_CHUNK):
             hi = min(lo + SERIES_CHUNK, R + 1)
-            # k^{2H} for k = lo-1 .. hi; lag k needs those at k-1, k, k+1
-            powers = np.arange(lo - 1, hi + 1, dtype=float)
-            _raise_in_place(powers, 2 * H, pool, threads)
-            terms = values[: hi - lo]
-            np.multiply(powers[1:-1], 2.0, out=terms)
-            np.subtract(powers[2:], terms, out=terms)
-            np.add(terms, powers[:-2], out=terms)
-            np.multiply(terms, 0.5, out=terms)  # rho(H, k), as rho orders it
-            del powers  # freed before the next chunk allocates its own
-            _raise_in_place(terms, q, pool, threads)
-            if not signed:
-                np.abs(terms, out=terms)
-            total += float(np.sum(terms))
+            leaves = _pairwise_leaves(lo, hi, SERIES_LEAF)
+            sums = dict(zip(leaves, pool.map(leaf_sum, *zip(*leaves))))
+            total += _pairwise_fold(lo, hi, sums)
     return 1.0 + 2.0 * total
 
 

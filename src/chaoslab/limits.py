@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -254,9 +255,10 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     n <= 4096 (M^2 squared in place, after M is freed) and by blocked
     Toeplitz multiplication beyond: ``CHAOS2_BLOCK`` rows of M at a time,
     each a window of one mirrored lag vector, are multiplied by M with
-    row-wise ``scipy.fft`` transforms (on ``rng.worker_count()`` workers)
-    against one embedding spectrum, so no n x n array is built.  Each block's squares are summed in the order of the (n, block)
-    product M @ columns, and the blocks in order.
+    row-wise ``numpy.fft`` transforms against one embedding spectrum, in
+    tasks of ``rng.slab_rows(2n-1)`` rows on ``rng.worker_count()`` threads,
+    so no n x n array is built.  Each block's (n, block) product M @ columns
+    is squared in place and summed in C order, and the blocks in order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -275,24 +277,28 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
         np.square(square, out=square)
         tr_m4 = float(np.sum(square))
     else:
-        import scipy.fft  # for its FFT worker threads
-
         # M is symmetric, so rows lo..hi-1 are its columns lo..hi-1, and
         # M @ columns is a circulant product of length 2n-1 taken along each row
         length = 2 * n - 1
-        workers = worker_count()
-        spectrum = scipy.fft.rfft(np.concatenate([r, r[:0:-1]]), workers=workers)
+        spectrum = np.fft.rfft(np.concatenate([r, r[:0:-1]]))
+        task_rows = slab_rows(length)
+        buffer = np.empty(n * CHAOS2_BLOCK)
         tr_m4 = 0.0
-        for lo in range(0, n, CHAOS2_BLOCK):
-            rows = windows[lo : lo + CHAOS2_BLOCK]
-            product = scipy.fft.irfft(
-                spectrum * scipy.fft.rfft(rows, n=length, axis=1, workers=workers),
-                n=length,
-                axis=1,
-                workers=workers,
-            )[:, :n]
-            # the sum runs over the (n, block) array of M @ columns, in C order
-            tr_m4 += float(np.sum(np.ascontiguousarray(product.T) ** 2))
+
+        def multiply(rows: np.ndarray, columns: np.ndarray) -> None:
+            f = np.fft.rfft(rows, n=length, axis=1)
+            np.multiply(spectrum, f, out=f)
+            columns[...] = np.fft.irfft(f, n=length, axis=1)[:, :n].T
+
+        with ThreadPoolExecutor(worker_count()) as pool:
+            for lo in range(0, n, CHAOS2_BLOCK):
+                width = min(CHAOS2_BLOCK, n - lo)
+                product = buffer[: n * width].reshape(n, width)  # M @ columns, C order
+                starts = range(0, width, task_rows)
+                rows = [windows[lo + i : lo + i + task_rows] for i in starts]
+                list(pool.map(multiply, rows, [product[:, i : i + task_rows] for i in starts]))
+                np.square(product, out=product)
+                tr_m4 += float(np.sum(product))
 
     variance = 2.0 * tr_m2 / n
     fourth = (12.0 * tr_m2**2 + 48.0 * tr_m4) / n**2

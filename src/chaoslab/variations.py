@@ -366,14 +366,23 @@ def full_variation(
     )
 
 
+def _fast_len(target: int) -> int:
+    """The smallest 5-smooth integer >= ``target`` (scipy's ``next_fast_len`` for
+    real input); below 2**64 the 5-smooth integers are exactly the divisors of 30**64."""
+    size = target
+    while 30**64 % size:
+        size += 1
+    return size
+
+
 def a_n_statistic(batch: FbmPathBatch, q: int, f: WeightFunction) -> np.ndarray:
     """The quadratic functional A_n = n^{2qH-1} q! sum_{l,j} beta_{l,j}^q f(B_l) f(B_j).
 
     Since beta_{l,j} = n^{-2H} rho(l-j), this reduces to
     (q!/n) sum_{l,j} rho(l-j)^q f_l f_j, computed per path over the lag band
     where |rho|^q >= 1e-14 (direct banded sums for narrow bands, one
-    ``scipy.fft`` autocorrelation per path otherwise, the only use of scipy
-    here; both exact to well below tolerance).
+    ``numpy.fft`` autocorrelation per path at a 5-smooth length otherwise;
+    both exact to well below tolerance).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -393,10 +402,8 @@ def a_n_statistic(batch: FbmPathBatch, q: int, f: WeightFunction) -> np.ndarray:
             overlap = (weights[:, lag:] * weights[:, :-lag]).sum(axis=1)
             total = total + 2.0 * lag_weights[lag] * overlap
     else:
-        import scipy.fft
-
-        size = scipy.fft.next_fast_len(2 * n, real=True)
-        spectrum = scipy.fft.rfft(weights, size, axis=1)
-        autocorr = scipy.fft.irfft(np.abs(spectrum) ** 2, size, axis=1)[:, :n]
+        size = _fast_len(2 * n)
+        spectrum = np.fft.rfft(weights, size, axis=1)
+        autocorr = np.fft.irfft(np.abs(spectrum) ** 2, size, axis=1)[:, :n]
         total = lag_weights[0] * autocorr[:, 0] + 2.0 * (autocorr[:, 1:] @ lag_weights[1:])
     return np.asarray(math.factorial(q) / n * total, dtype=float).reshape(batch.m)

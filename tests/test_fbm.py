@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -166,24 +165,35 @@ def test_rho_power_sums_bits_pinned_at_any_thread_count(monkeypatch, threads):
 @pytest.mark.parametrize("exponent", [2, 3, 0.5, 2 * 0.47, 1.4])
 def test_raise_in_place_matches_the_power_operator_bit_for_bit(exponent):
     # numpy's ** picks square for the int 2 and sqrt for the float 0.5; the
-    # split into parts on the pool must not change any element
-    x = np.random.default_rng(3).uniform(-2.0, 2.0, 5 * chaoslab.fbm.POWER_PART + 7)
+    # series leaves raise in place with the same choice
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, 5 * 2**16 + 7)
     if isinstance(exponent, float):
         x = np.abs(x)
     expected = x**exponent
-    with ThreadPoolExecutor(3) as pool:
-        for threads in (1, 3):
-            y = x.copy()
-            chaoslab.fbm._raise_in_place(y, exponent, pool, threads)
-            assert y.tobytes() == expected.tobytes(), threads
+    chaoslab.fbm._raise_in_place(x, exponent)
+    assert x.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8, 100, 128, 129, 1000, 2**16, 2**16 + 8, 3 * 2**17 + 5, 2**22])
+def test_pairwise_fold_of_leaf_sums_is_np_sum_bit_for_bit(n):
+    # the series folds its leaf sums along numpy's pairwise-summation tree; a
+    # numpy release that sums differently fails here, not only in the pins
+    gen = np.random.default_rng(n)
+    x = gen.standard_normal(n) * 10.0 ** gen.uniform(-8.0, 8.0, n)  # magnitudes that round
+    for leaf in (16, 200, 1000, 2**16):
+        leaves = chaoslab.fbm._pairwise_leaves(0, n, leaf)
+        assert [lo for lo, _ in leaves[1:]] == [hi for _, hi in leaves[:-1]]
+        assert max(hi - lo for lo, hi in leaves) <= max(leaf, 128)
+        sums = {(lo, hi): float(np.sum(x[lo:hi])) for lo, hi in leaves}
+        assert chaoslab.fbm._pairwise_fold(0, n, sums).hex() == float(np.sum(x)).hex(), leaf
 
 
 @pytest.mark.parametrize("signed", [True, False])
 def test_rho_power_series_matches_the_chunked_rho_loop(monkeypatch, signed):
     # short chunks that do not divide R = 1024 (the shortest truncation, taken
-    # at this tolerance) and powers split across three threads
+    # at this tolerance), each cut into leaves on three threads
     monkeypatch.setattr(chaoslab.fbm, "SERIES_CHUNK", 100)
-    monkeypatch.setattr(chaoslab.fbm, "POWER_PART", 16)
+    monkeypatch.setattr(chaoslab.fbm, "SERIES_LEAF", 16)
     monkeypatch.setenv("CHAOSLAB_THREADS", "3")
     H, q = 0.3, 3
     total = 0.0
@@ -195,16 +205,17 @@ def test_rho_power_series_matches_the_chunked_rho_loop(monkeypatch, signed):
     assert series(H, q, 1e-6).hex() == expected.hex()
 
 
-def test_rho_power_sum_peak_memory_is_two_chunks():
-    # the powers and the terms of one chunk, each 2**22 doubles
-    chunk_bytes = 8 * chaoslab.fbm.SERIES_CHUNK
+def test_rho_power_sum_peak_memory_is_a_few_leaves(monkeypatch):
+    # each running leaf holds its powers and its terms, SERIES_LEAF doubles each
+    threads = 3
+    monkeypatch.setenv("CHAOSLAB_THREADS", str(threads))
     tracemalloc.start()
     try:
         signed_rho_power_sum(0.47, 2, 1e-10)  # two chunks of lags
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * chunk_bytes + 2**20
+    assert peak <= threads * 16 * chaoslab.fbm.SERIES_LEAF + 2**20
 
 
 # -- grids and batches ---------------------------------------------------------

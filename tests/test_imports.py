@@ -12,10 +12,11 @@ its public functions and methods plus the field defaults of its public
 dataclasses and NamedTuples ("public" meaning no leading underscore).  A
 change that adds an option raises ``MAX_KNOBS`` in its own diff.
 
-The last test runs subcommands in a fresh interpreter: the circulant
-sampler, the Brownian example and the exact tables run on numpy alone, and
-scipy (0.4 s and 25 MB to import) loads only where one of its functions is
-called.
+The last two tests run subcommands and the exact half in a fresh
+interpreter: the circulant sampler, the Brownian example, the exact tables,
+the ρ^q series, the blocked tr M⁴ and the FFT branch of A_n run on numpy
+alone, and scipy (0.4 s and 25 MB to import) loads only where one of its
+functions is called.
 """
 
 from __future__ import annotations
@@ -191,3 +192,36 @@ def test_numpy_only_subcommands_never_load_scipy(tmp_path):
                      if line.startswith(prefix))
     assert before == []
     assert "scipy" in after  # the Cholesky factor and ndtr
+
+
+_EXACT_HALF_PROBE = """
+import json, sys
+from chaoslab.fbm import FbmGrid, bounds_suite, sample_paths
+from chaoslab.identities import run_identity_suite
+from chaoslab.limits import chaos2_fourth_moment_exact
+from chaoslab.variations import A_N_DIRECT_MAX_LAGS, a_n_statistic, sigma_hq
+from chaoslab.weights import WeightFunction
+
+run_identity_suite(seed=0, instances=12)
+bounds_suite(0)
+sigma_hq(0.47, 2)
+sigma_hq(0.7, 4)
+chaos2_fourth_moment_exact(0.3, 4160)  # the blocked branch
+n = 1024  # circulant, and at H = 0.45 every lag is in the band: the FFT branch
+assert n - 1 > A_N_DIRECT_MAX_LAGS
+a_n_statistic(sample_paths(FbmGrid(0.45, n), 4, seed=0), 2, WeightFunction.cosine(1.0, 1.0))
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_the_exact_half_and_the_a_n_fft_never_load_scipy():
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _EXACT_HALF_PROBE],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1]) == []

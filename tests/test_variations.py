@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from chaoslab.fbm import FbmGrid, FbmPathBatch, alpha_diag, del_norm, sample_paths
+from chaoslab.fbm import FbmGrid, FbmPathBatch, alpha_diag, del_norm, rho, sample_paths
 from chaoslab.polyrv import PolyRV
 from chaoslab.space import GaussianSpace
 from chaoslab.tensors import SymTensor
 from chaoslab.variations import (
+    _fast_len,
+    _weight_values,
     a_n_statistic,
     classify_regime,
     correction_constant,
@@ -425,6 +427,28 @@ def test_a_n_direct_band_matches_fft_route():
                     brute += rho_fn(H, l - j) ** 2 * levels[i, l] * levels[i, j]
             brute *= 2.0 / n
             assert values[i] == pytest.approx(brute, rel=1e-10), H
+
+
+def test_fast_len_is_scipys_next_fast_len_for_real_input():
+    scipy_fft = pytest.importorskip("scipy.fft")
+    targets = range(1, 20000)
+    assert [_fast_len(t) for t in targets] == [scipy_fft.next_fast_len(t, real=True) for t in targets]
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4096, 5000])
+def test_a_n_fft_branch_has_the_bits_of_scipy_fft(n):
+    # H = 0.45 keeps every lag in the band, so A_n takes its FFT branch
+    scipy_fft = pytest.importorskip("scipy.fft")
+    H, f = 0.45, WeightFunction.cosine(1.0, 1.0)
+    batch = sample_paths(FbmGrid(H, n), 3, seed=5)
+    weights = _weight_values(batch, f)
+    lag_weights = np.asarray(rho(H, np.arange(n))) ** 2
+    size = scipy_fft.next_fast_len(2 * n, real=True)
+    spectrum = scipy_fft.rfft(weights, size, axis=1)
+    autocorr = scipy_fft.irfft(np.abs(spectrum) ** 2, size, axis=1)[:, :n]
+    total = lag_weights[0] * autocorr[:, 0] + 2.0 * (autocorr[:, 1:] @ lag_weights[1:])
+    expected = math.factorial(2) / n * total
+    assert a_n_statistic(batch, 2, f).tobytes() == expected.tobytes()
 
 
 def test_a_n_validation():
