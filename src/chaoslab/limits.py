@@ -39,7 +39,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fbm import FbmGrid, FbmPathBatch, map_paths, rho, toeplitz_rows
+from .fbm import (
+    FbmGrid,
+    FbmPathBatch,
+    _pairwise_fold,
+    _pairwise_leaves,
+    map_paths,
+    rho,
+    toeplitz_rows,
+)
 from .report import TestReport
 from .rng import derive_seed, map_slabs, normal_rows, slab_rows, worker_count
 from .weights import WeightFunction
@@ -251,19 +259,27 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     With M the n x n matrix rho_H(k - j):  E[G^2] = 2 tr(M^2)/n and
     E[G^4] = (12 tr(M^2)^2 + 48 tr(M^4))/n^2, so the kurtosis of the
     variance-normalized statistic is normalized_m4 = 3 + 12 tr(M^4)/tr(M^2)^2.
-    tr(M^2) is a lag sum; tr(M^4) = ||M^2||_F^2 is computed densely for
-    n <= 4096 (M^2 squared in place, after M is freed) and by blocked
-    Toeplitz multiplication beyond: ``CHAOS2_BLOCK`` rows of M at a time,
-    each a window of one mirrored lag vector, are multiplied by M with
-    row-wise ``numpy.fft`` transforms against one embedding spectrum, in
-    tasks of ``rng.slab_rows(2n-1)`` rows on ``rng.worker_count()`` threads,
-    so no n x n array is built.  Each block's (n, block) product M @ columns
-    is squared in place and summed in C order, and the blocks in order.
+    tr(M^2) is a lag sum; tr(M^4) = ||M^2||_F^2 is computed by GEMM for
+    n <= 4096, one leaf of ``np.sum``'s pairwise tree over M^2's n*n entries
+    at a time (``fbm._pairwise_leaves`` of ``CHAOS2_BLOCK * n`` entries):
+    the rows a leaf touches are multiplied by M in tiles of
+    2 * ``CHAOS2_BLOCK`` columns, the leaf's entries are squared and summed,
+    and the leaf sums are added along that tree (``fbm._pairwise_fold``).
+    That is the bits of one ``np.sum`` over the squared n x n product M @ M,
+    without building it; at n <= 256 it is one leaf and one GEMM.  Beyond
+    n = 4096 it comes from blocked Toeplitz multiplication: ``CHAOS2_BLOCK``
+    rows of M at a time, each a window of one mirrored lag vector, are
+    multiplied by M with row-wise ``numpy.fft`` transforms against one
+    embedding spectrum, in tasks of ``rng.slab_rows(2n-1)`` rows on
+    ``rng.worker_count()`` threads.  Each block's (n, block) product
+    M @ columns is squared in place and summed in C order, and the blocks
+    in order.  Neither route holds an array of more than
+    2 * ``CHAOS2_BLOCK`` * n entries.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > CHAOS2_MAX_N:
-        raise ValueError(f"n capped at {CHAOS2_MAX_N}")
+        raise ValueError(f"n = {n} exceeds CHAOS2_MAX_N = {CHAOS2_MAX_N}")
     lags = np.arange(n)
     r = np.asarray(rho(H, lags), dtype=float)
     weights = np.concatenate([[float(n)], 2.0 * (n - lags[1:])])
@@ -271,11 +287,27 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
 
     windows = toeplitz_rows(r)  # row i of M, a window of the mirrored lags
     if n <= CHAOS2_DENSE_MAX_N:
-        dense = windows.copy()
-        square = dense @ dense
-        del dense
-        np.square(square, out=square)
-        tr_m4 = float(np.sum(square))
+        # M^2's n*n entries one leaf of np.sum's pairwise tree at a time.  A
+        # leaf of at most CHAOS2_BLOCK * n entries spans at most
+        # CHAOS2_BLOCK + 1 rows; a row split by a leaf edge is computed twice.
+        left = np.empty((min(n, CHAOS2_BLOCK + 1), n))
+        product = np.empty_like(left)
+        # at n <= CHAOS2_BLOCK the one leaf and the one tile are both all of M
+        tile = left if n <= CHAOS2_BLOCK else np.empty((n, min(n, 2 * CHAOS2_BLOCK)))
+
+        def leaf_sum(a: int, b: int) -> float:
+            r0, r1 = a // n, -(-b // n)
+            np.copyto(left[: r1 - r0], windows[r0:r1])
+            for c0 in range(0, n, 2 * CHAOS2_BLOCK):
+                c1 = min(c0 + 2 * CHAOS2_BLOCK, n)
+                np.copyto(tile[:, : c1 - c0], windows[:, c0:c1])
+                np.matmul(left[: r1 - r0], tile[:, : c1 - c0], out=product[: r1 - r0, c0:c1])
+            entries = product.reshape(-1)[a - r0 * n : b - r0 * n]
+            np.square(entries, out=entries)
+            return float(np.sum(entries))
+
+        leaves = _pairwise_leaves(0, n * n, CHAOS2_BLOCK * n)
+        tr_m4 = _pairwise_fold(0, n * n, {leaf: leaf_sum(*leaf) for leaf in leaves})
     else:
         # M is symmetric, so rows lo..hi-1 are its columns lo..hi-1, and
         # M @ columns is a circulant product of length 2n-1 taken along each row

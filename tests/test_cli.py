@@ -176,6 +176,8 @@ def test_malformed_config_file_is_rejected(tmp_path, capsys):
             "got m = 1",
         ),
         (["example-brownian", "--n", "1", "--m", "1"], "got m = 1"),
+        # the exact fourth moment runs first, so nothing is sampled
+        (["berry-esseen", "--H", "0.5", "--n", "70000"], "n = 70000 exceeds CHAOS2_MAX_N = 65536"),
     ],
 )
 def test_invalid_configurations_exit_2(tmp_path, capsys, argv, fragment):

@@ -1,13 +1,19 @@
 """Mixture limit laws, distribution tests, fourth-moment bounds, Brownian example."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chaoslab.limits
+from chaoslab.fbm import rho, toeplitz_rows
 from chaoslab.limits import (
     MixtureSpec,
     berry_esseen_check,
@@ -310,10 +316,66 @@ def test_chaos2_bits_pinned_at_any_thread_count(monkeypatch, threads):
         assert tuple(repr(v) for v in moments) == pinned, (H, n)
 
 
-@pytest.mark.parametrize("n, limit", [(2048, 2 * 8 * 2048**2 + 2**20), (4160, 18 * 2**20)])
+# berry-esseen's chaos2 points: M is the identity at H = 1/2
+BERRY_ESSEEN_CHAOS2_PINS = {
+    (0.5, 64): ("2.0", "12.75", "3.1875"),
+    (0.5, 256): ("2.0", "12.1875", "3.046875"),
+}
+
+_CHAOS2_PROBE = """
+import json, sys
+from chaoslab.limits import chaos2_fourth_moment_exact
+points = json.loads(sys.argv[1])
+print(json.dumps([[repr(v) for v in chaos2_fourth_moment_exact(H, n)] for H, n in points]))
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_chaos2_bits_pinned_at_any_blas_thread_count(blas_threads):
+    # the BLAS thread count is read once, when the library loads
+    pins = {**CHAOS2_PINS, **BERRY_ESSEEN_CHAOS2_PINS}
+    src = str(Path(chaoslab.limits.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": blas_threads}
+    done = subprocess.run(
+        [sys.executable, "-c", _CHAOS2_PROBE, json.dumps(list(pins))],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert {point: tuple(moments) for point, moments in zip(pins, got)} == pins
+
+
+@pytest.mark.parametrize("n", [64, 257, 1000, 2048, 3001])
+def test_chaos2_tiled_trace_is_the_one_shot_gemm_bit_for_bit(monkeypatch, n):
+    # one leaf at n = 64; 4 and 8 row-aligned leaves at 1000 and 2048; 2 and 16
+    # leaves that split rows at 257 and 3001.  The traces are compared as the
+    # fold returns them, before any moment is formed from them.
+    real_fold = chaoslab.limits._pairwise_fold
+    traces = []
+
+    def fold(lo, hi, sums):
+        traces.append(real_fold(lo, hi, sums))
+        return traces[-1]
+
+    monkeypatch.setattr(chaoslab.limits, "_pairwise_fold", fold)
+    for H in (0.05, 0.3, 0.62):
+        chaos2_fourth_moment_exact(H, n)
+        dense = toeplitz_rows(np.asarray(rho(H, np.arange(n)), dtype=float)).copy()
+        square = dense @ dense
+        np.square(square, out=square)
+        assert traces.pop().hex() == float(np.sum(square)).hex(), (H, n)
+
+
+@pytest.mark.parametrize("n, limit", [(2048, 18 * 2**20), (4096, 36 * 2**20), (4160, 18 * 2**20)])
 def test_chaos2_peak_memory(n, limit):
-    # dense: M and M^2 only, squared in place; blocked: no n x n array at all,
-    # one (n, CHAOS2_BLOCK) product (8.1 MiB at n = 4160) and a few FFT tasks
+    # dense: a leaf's rows of M and of M^2 (CHAOS2_BLOCK + 1 rows each) and one
+    # tile of 2 * CHAOS2_BLOCK columns of M, 16 MiB at n = 2048 and 32 MiB at 4096;
+    # blocked: one (n, CHAOS2_BLOCK) product (8.1 MiB at n = 4160) and a few
+    # FFT tasks.  Neither builds an n x n array (32 MiB at 2048, 128 MiB at 4096).
     tracemalloc.start()
     try:
         chaos2_fourth_moment_exact(0.3, n)
