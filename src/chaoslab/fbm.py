@@ -16,8 +16,10 @@ one ``rng.slab_rows(row)``-row RNG slab at a time on the block pool of
 normals always gives a full ``rng.SLAB_ROWS``-row slab; a circulant slab is
 transformed by ``numpy.fft`` in place in one reused buffer per pool thread,
 so its working set stays in cache at any n.  ``sample_paths`` is its
-consumer that fills one array.  Only a Cholesky plan loads scipy (in
-:func:`cholesky`), so circulant sampling runs on numpy alone.
+consumer that fills one array.  Only a Cholesky plan at H != 1/2 loads
+scipy (in :func:`cholesky`): at H = 1/2 the covariance is diagonal and its
+factor a square root, so circulant sampling and every plan at H = 1/2 run on
+numpy alone, and give the same bits at any BLAS thread count.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -218,8 +220,10 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
         R *= 2
         if R > 1 << 31:
             raise ValueError(
-                f"tolerance {tol} needs more than {1 << 31} lag terms near the "
-                "summability boundary; use a larger tol"
+                f"sum of rho^q at q = {q}, H = {H}: tolerance {tol} needs more than "
+                f"{1 << 31} lag terms this close to the bound H < 1 - 1/(2q) = "
+                f"{1 - 1 / (2 * q)}; pass a larger tol to sigma_hq, signed_rho_power_sum "
+                "or abs_rho_power_sum"
             )
 
     def leaf_sum(lo: int, hi: int) -> float:
@@ -339,10 +343,17 @@ def embedding_spectrum(grid: FbmGrid) -> np.ndarray:
 
 
 def cholesky(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``matrix`` by ``scipy.linalg``, imported on first call.
+    """Lower Cholesky factor of the symmetric ``matrix``.
 
-    Only a Cholesky sampler plan (n <= ``CHOLESKY_MAX_N``) calls it, once per plan.
+    A matrix with no nonzero entry below its diagonal, such as the increment
+    covariance n^{-1} I at H = 1/2 (rho vanishes off lag zero), is factored
+    by ``np.sqrt``, which gives LAPACK dpotrf's bits for it, so that case runs
+    on numpy alone.  Any other matrix goes to ``scipy.linalg``, imported on
+    first call.  Only a Cholesky sampler plan (n <= ``CHOLESKY_MAX_N``) calls
+    it, once per plan, with a covariance whose diagonal n^{-2H} is positive.
     """
+    if not np.tril(matrix, -1).any():
+        return np.sqrt(matrix)
     import scipy.linalg
 
     return scipy.linalg.cholesky(matrix, lower=True)

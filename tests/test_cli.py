@@ -178,6 +178,13 @@ def test_malformed_config_file_is_rejected(tmp_path, capsys):
         (["example-brownian", "--n", "1", "--m", "1"], "got m = 1"),
         # the exact fourth moment runs first, so nothing is sampled
         (["berry-esseen", "--H", "0.5", "--n", "70000"], "n = 70000 exceeds CHAOS2_MAX_N = 65536"),
+        # sigma_hq's tail bound cannot reach tol = 1e-10 this close to H < 3/4; the CLI
+        # has no tol, so the message names the functions that take one
+        (
+            ["limit-test", "--q", "2", "--H", "0.6"],
+            "q = 2, H = 0.6: tolerance 1e-10 needs more than 2147483648 lag terms this close "
+            "to the bound H < 1 - 1/(2q) = 0.75; pass a larger tol to sigma_hq",
+        ),
     ],
 )
 def test_invalid_configurations_exit_2(tmp_path, capsys, argv, fragment):

@@ -591,6 +591,19 @@ def test_cholesky_reconstructs_covariance_exactly():
         np.testing.assert_allclose(L @ L.T, cov, atol=1e-10)
 
 
+def test_cholesky_factor_is_scipys_and_needs_no_scipy_at_h_half(monkeypatch):
+    covariances = [FbmGrid(0.5, n).increment_covariance() for n in range(1, 513)]
+    factors = [scipy.linalg.cholesky(cov, lower=True) for cov in covariances]
+    for n in (1, 2, 64, 512):
+        cov = FbmGrid(0.4, n).increment_covariance()
+        assert _same_bits(chaoslab.fbm.cholesky(cov), scipy.linalg.cholesky(cov, lower=True)), n
+    # an import of scipy or any submodule now raises, so none may be attempted
+    for name in [name for name in sys.modules if name.split(".")[0] == "scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    for n, (cov, factor) in enumerate(zip(covariances, factors), start=1):
+        assert _same_bits(chaoslab.fbm.cholesky(cov), factor), n
+
+
 def test_monte_carlo_increment_covariance_h_half():
     grid = FbmGrid(0.5, 4)
     batch = sample_paths(grid, 40_000, seed=11, method="circulant")

@@ -12,11 +12,15 @@ its public functions and methods plus the field defaults of its public
 dataclasses and NamedTuples ("public" meaning no leading underscore).  A
 change that adds an option raises ``MAX_KNOBS`` in its own diff.
 
-The last two tests run subcommands and the exact half in a fresh
-interpreter: the circulant sampler, the Brownian example, the exact tables,
-the ρ^q series, the blocked tr M⁴ and the FFT branch of A_n run on numpy
-alone, and scipy (0.4 s and 25 MB to import) loads only where one of its
-functions is called.
+The last three tests run subcommands and the exact half in a fresh
+interpreter.  The circulant sampler, every sampler at H = 1/2 (its Cholesky
+factor is diagonal), ``berry-esseen`` there (Phi is a numpy port of
+``ndtr``), the Brownian example, the exact tables, the ρ^q series, the
+blocked tr M⁴ and the FFT branch of A_n run with every scipy import refused
+by a ``sys.meta_path`` finder.  scipy (0.4 s and 25 MB to import) loads only
+where one of its functions is called: ``scipy.linalg`` for the Cholesky
+factor of a non-diagonal covariance (n <= 512 at H != 1/2), and no
+``scipy.special`` module at all.
 """
 
 from __future__ import annotations
@@ -156,42 +160,59 @@ _SCIPY_PROBE = """
 import json, sys
 from chaoslab.cli import main
 
-out, config = sys.argv[1:]
-def report_scipy_modules():
-    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-    print("scipy modules:", json.dumps(loaded))
+class RefuseScipy:
+    # a meta path finder under which every scipy import fails
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy is refused in this probe: {name}")
+        return None
 
-for argv in (
-    ["limit-test", "--q", "2", "--H", "0.3", "--n", "4096", "--m", "4", "--weight", "cos:1,1"],
-    ["example-brownian", "--n", "16", "--m", "8"],
-    ["identities", "--config", config],
-    ["constants"],
-    ["fbm", "--n", "1024", "--m", "4"],
-):
+mode, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+if mode == "refuse":
+    sys.meta_path.insert(0, RefuseScipy)
+for argv in runs:
     assert main([*argv, "--out", out]) in (0, 1), argv
-report_scipy_modules()
-assert main(["berry-esseen", "--H", "0.5", "--n", "16", "--m", "64", "--out", out]) in (0, 1)
-report_scipy_modules()
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
-def test_numpy_only_subcommands_never_load_scipy(tmp_path):
-    config = tmp_path / "identities.json"
-    config.write_text(json.dumps({"instances": 12}), encoding="utf-8")
+def _scipy_modules_after(tmp_path, mode: str, runs: list[list[str]]) -> list[str]:
+    """The scipy modules loaded after ``runs`` of the CLI in a fresh interpreter,
+    with every scipy import refused when ``mode`` is "refuse"."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(config)],
+        [sys.executable, "-c", _SCIPY_PROBE, mode, str(tmp_path), json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    prefix = "scipy modules:"
-    before, after = (json.loads(line[len(prefix):]) for line in done.stdout.splitlines()
-                     if line.startswith(prefix))
-    assert before == []
-    assert "scipy" in after  # the Cholesky factor and ndtr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_numpy_only_subcommands_never_load_scipy(tmp_path):
+    config = tmp_path / "identities.json"
+    config.write_text(json.dumps({"instances": 12}), encoding="utf-8")
+    runs = [
+        ["limit-test", "--q", "2", "--H", "0.3", "--n", "4096", "--m", "4", "--weight", "cos:1,1"],
+        ["example-brownian", "--n", "16", "--m", "8"],
+        ["identities", "--config", str(config)],
+        ["constants"],
+        ["fbm", "--n", "1024", "--m", "4"],
+        # at H = 1/2 the Cholesky factor is diagonal, and Phi is the ndtr port
+        ["berry-esseen", "--H", "0.5", "--n", "16,600", "--m", "64"],
+        ["fbm", "--H", "0.5", "--n", "64", "--m", "4"],
+        ["variation", "--H", "0.5", "--n", "64", "--m", "8"],
+    ]
+    assert _scipy_modules_after(tmp_path, "refuse", runs) == []
+
+
+def test_berry_esseen_off_h_half_loads_scipy_linalg_alone(tmp_path):
+    loaded = _scipy_modules_after(tmp_path, "allow", [["berry-esseen", "--H", "0.4", "--n", "16", "--m", "64"]])
+    assert "scipy.linalg" in loaded  # the Cholesky factor of a non-diagonal covariance
+    assert not [name for name in loaded if name.startswith("scipy.special")]
 
 
 _EXACT_HALF_PROBE = """

@@ -330,23 +330,37 @@ print(json.dumps([[repr(v) for v in chaos2_fourth_moment_exact(H, n)] for H, n i
 """
 
 
-@pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_chaos2_bits_pinned_at_any_blas_thread_count(blas_threads):
-    # the BLAS thread count is read once, when the library loads
-    pins = {**CHAOS2_PINS, **BERRY_ESSEEN_CHAOS2_PINS}
+def _last_line_at_blas_threads(blas_threads: str, probe: str, *argv: str) -> str:
+    """The last line ``probe`` prints in a fresh interpreter, since the BLAS
+    thread count is read once, when the library loads."""
     src = str(Path(chaoslab.limits.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": blas_threads}
     done = subprocess.run(
-        [sys.executable, "-c", _CHAOS2_PROBE, json.dumps(list(pins))],
+        [sys.executable, "-c", probe, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    got = json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_chaos2_bits_pinned_at_any_blas_thread_count(blas_threads):
+    pins = {**CHAOS2_PINS, **BERRY_ESSEEN_CHAOS2_PINS}
+    got = json.loads(_last_line_at_blas_threads(blas_threads, _CHAOS2_PROBE, json.dumps(list(pins))))
     assert {point: tuple(moments) for point, moments in zip(pins, got)} == pins
+
+
+def test_berry_esseen_bits_at_h_half_follow_no_blas_thread_count():
+    # the Cholesky factor is diagonal at H = 1/2, and a GEMM with it is exact
+    probe = (
+        "from chaoslab.limits import berry_esseen_check\n"
+        "print(berry_esseen_check(0.5, 256, 4096, 3).statistic.hex())"
+    )
+    assert _last_line_at_blas_threads("1", probe) == _last_line_at_blas_threads("2", probe)
 
 
 @pytest.mark.parametrize("n", [64, 257, 1000, 2048, 3001])
@@ -412,6 +426,32 @@ def test_berry_esseen_check_passes_at_moderate_size():
         math.sqrt(1.0 / 6.0) * math.sqrt(12.0 / 64.0), rel=1e-9
     )
     assert report.extras["normalized_m4"] == pytest.approx(3.0 + 12.0 / 64.0, rel=1e-10)
+
+
+def _ulp_neighbours(a: float, k: int = 64) -> np.ndarray:
+    """The positive ``a`` and its ``k`` float64 neighbours on each side."""
+    return (np.float64(a).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+
+def test_normal_cdf_is_scipys_ndtr_bit_for_bit():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    rng = np.random.default_rng(5)
+    sqrt1_2 = chaoslab.limits._SQRT1_2
+    # |a| sqrt(1/2) = sqrt(1/2), 1 and 8 switch branches; erfc underflows to 0 past MAXLOG
+    edges = [1.0, 1.0 / sqrt1_2, 8.0 / sqrt1_2, math.sqrt(2.0 * chaoslab.limits._MAXLOG)]
+    near = np.concatenate([_ulp_neighbours(edge) for edge in edges])
+    a = np.concatenate([
+        rng.normal(0.0, 2.0, 1_000_000),
+        rng.uniform(-40.0, 40.0, 1_000_000),
+        near,
+        -near,
+        np.linspace(-38.0, -37.4, 10_001),
+        [0.0, -0.0, np.inf, -np.inf, np.nan],
+    ])
+    got = chaoslab.limits._normal_cdf(a)
+    want = ndtr(a)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert not differ.any(), a[differ][:10]
 
 
 def test_berry_esseen_validation():
