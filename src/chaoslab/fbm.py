@@ -13,9 +13,11 @@ only.  ``map_paths`` is the one path loop: it builds the sampler plan for
 ``(grid, method)`` once, then draws, transforms and hands over the paths of
 one ``rng.slab_rows(row)``-row RNG slab at a time on the block pool of
 ``rng.map_slabs``, each block drawn once.  A Cholesky row of n <= 512
-normals always gives a full ``rng.SLAB_ROWS``-row slab; a circulant slab is
-transformed by ``numpy.fft`` in place in one reused buffer per pool thread,
-so its working set stays in cache at any n.  ``sample_paths`` is its
+normals always gives a full ``rng.SLAB_ROWS``-row slab, transformed by a
+GEMM on one pool thread, or by an elementwise scale on every pool thread if
+the factor is diagonal (H = 1/2, or n = 1); a circulant slab is transformed
+by ``numpy.fft`` in place in one reused buffer per pool thread, so its
+working set stays in cache at any n.  ``sample_paths`` is its
 consumer that fills one array.  Only a Cholesky plan at H != 1/2 loads
 scipy (in :func:`cholesky`): at H = 1/2 the covariance is diagonal and its
 factor a square root, so circulant sampling and every plan at H = 1/2 run on
@@ -391,16 +393,22 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
     n <= ``CHOLESKY_MAX_N`` normals, so its slabs are always ``rng.SLAB_ROWS``
     rows; that matters, because the bits of a GEMM row depend on how many
     rows the GEMM has (with OpenBLAS, GEMMs of 8 to 128 rows round
-    differently from 256-row ones).  It runs on a one-thread pool: its GEMM
-    already uses the BLAS threads, and two GEMMs at once run slower.  A
-    circulant transform is row by row, so its byte-sized ``rng.slab_rows(4n)``
-    rows may be any height; it runs one ``numpy.fft.ifft`` (single-threaded)
-    per pool thread, in place in that thread's buffer.
+    differently from 256-row ones).  A non-diagonal factor runs on a
+    one-thread pool: its GEMM already uses the BLAS threads, and two GEMMs at
+    once run slower.  A diagonal factor (H = 1/2, or n = 1) scales slabs
+    elementwise on the full pool, with its GEMM's bits (each entry of that
+    GEMM has one nonzero product).  A circulant transform is row by row, so
+    its byte-sized ``rng.slab_rows(4n)`` rows may be any height; it runs one
+    ``numpy.fft.ifft`` (single-threaded) per pool thread, in place in that
+    thread's buffer.
     """
     n = grid.n
     if method == "cholesky":
-        factor_t = cholesky(grid.increment_covariance()).T
-        return _Plan("fgn-cholesky", n, 1, 1, lambda raw: raw @ factor_t)
+        factor = cholesky(grid.increment_covariance())
+        if np.tril(factor, -1).any():
+            return _Plan("fgn-cholesky", n, 1, 1, lambda raw: raw @ factor.T)
+        scale = factor.diagonal().copy()  # raw * scale is a new array: raw is reused
+        return _Plan("fgn-cholesky", n, 1, None, lambda raw: raw * scale)
     # one complex transform yields two paths
     M = 2 * n
     lam = embedding_spectrum(grid)
@@ -443,9 +451,10 @@ def map_paths(
     Cholesky plan, ``rng.slab_rows(4n)`` for a circulant one.  ``method`` is
     checked first, even when m = 0; the sampler plan is built once, and not
     at all when m = 0.  The slabs run on the block pool of
-    :func:`chaoslab.rng.map_slabs`, so ``consume`` may run concurrently for
-    different batches and should write disjoint rows of preallocated
-    outputs.  An exception raised in ``consume`` propagates.
+    :func:`chaoslab.rng.map_slabs` (one thread for a non-diagonal Cholesky
+    factor), so ``consume`` may run concurrently for different batches and
+    should write disjoint rows of preallocated outputs.  An exception raised
+    in ``consume`` propagates.
     """
     if m < 0:
         raise ValueError("m must be non-negative")

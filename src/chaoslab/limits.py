@@ -429,7 +429,9 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
 
     def consume(start: int, batch: FbmPathBatch) -> None:
         x = float(n) ** H * batch.increments
-        values[start : start + batch.m] = scale * (x * x - 1.0).sum(axis=1)
+        np.multiply(x, x, out=x)
+        x -= 1.0
+        values[start : start + batch.m] = scale * x.sum(axis=1)
 
     map_paths(grid, m, seed, consume)
     values.sort(kind="stable")

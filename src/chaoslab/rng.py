@@ -104,11 +104,14 @@ def map_slabs(
     it are not drawn.  Each block's slabs are drawn into one buffer and
     consumed in order by one task, so ``consume`` must not keep a reference
     to ``slab``.  The pool has ``min(worker_count(), max_threads, blocks)``
-    threads, so ``consume`` may run concurrently for different blocks.  An
-    exception raised in ``consume`` propagates to the caller.
+    threads (``max_threads`` None means no cap; below 1 it is a ValueError),
+    so ``consume`` may run concurrently for different blocks.  An exception
+    raised in ``consume`` propagates to the caller.
     """
     if rows < 0 or row_len <= 0:
         raise ValueError("need rows >= 0, row_len >= 1")
+    if max_threads is not None and max_threads < 1:
+        raise ValueError(f"max_threads must be None or >= 1, got {max_threads}")
     height = slab_rows(row_len)
     blocks = -(-rows // BLOCK_ROWS)
     if blocks == 0:

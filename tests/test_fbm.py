@@ -323,6 +323,8 @@ fbm = hashlib.sha256()
 for n in (3, 64, 1000):
     for H in (0.1, 0.8):
         fbm.update(sample_paths(FbmGrid(H, n), 301, 9, "circulant").increments.tobytes())
+for n in (64, 512):
+    fbm.update(sample_paths(FbmGrid(0.5, n), 301, 9, "cholesky").increments.tobytes())
 _, arrays = brownian_example_run(16, 64, 5, resolution=2048)
 brownian = hashlib.sha256(b"".join(column.tobytes() for column in arrays.values()))
 print(fbm.hexdigest(), brownian.hexdigest())
@@ -330,8 +332,9 @@ print(fbm.hexdigest(), brownian.hexdigest())
 
 
 def test_circulant_and_brownian_bits_do_not_depend_on_the_blas_thread_count():
-    # Cholesky bits do (a GEMM's rounding follows its BLAS thread split);
-    # the circulant plan and the Brownian example use no BLAS call
+    # Cholesky bits with a non-diagonal factor do (a GEMM's rounding follows its
+    # BLAS thread split); the circulant plan, the diagonal Cholesky factor of
+    # H = 1/2 (an elementwise scale) and the Brownian example use no BLAS call
     src = str(Path(chaoslab.fbm.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
@@ -464,6 +467,25 @@ def test_sample_paths_bits_survive_byte_sized_slabs(monkeypatch, threads, n, m, 
     assert _digest(sample_paths(FbmGrid(0.3, n), m, 9, method)) == SLAB_PINS[n, m, method]
 
 
+# sha256 of sample_paths(FbmGrid(H, n), 769, 9, "cholesky") increments then
+# levels, recorded while a diagonal factor still went through a one-thread GEMM.
+# At n = 1 every H gives N(0, 1) * 1, so (0.3, 1) and (0.5, 1) agree
+CHOLESKY_DIAGONAL_PINS = {
+    (0.5, 1): "b4c6e7ca84e18202ff9f99139b12e777b4d24d9fb847b0c163694c4b1427ed30",
+    (0.5, 64): "220cde2137bcfe822a8457231553ed1d8db7b6a25672ddcc438fb8e3e0c7f02c",
+    (0.5, 512): "e6574036597bbaaca8f66aa7cc54bbb6266fe4b01d4a8888c044b361d769f5ec",
+    (0.3, 1): "b4c6e7ca84e18202ff9f99139b12e777b4d24d9fb847b0c163694c4b1427ed30",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(("H", "n"), sorted(CHOLESKY_DIAGONAL_PINS))
+def test_diagonal_cholesky_scale_has_the_gemm_bits(monkeypatch, threads, H, n):
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+    digest = _digest(sample_paths(FbmGrid(H, n), 769, 9, "cholesky"))
+    assert digest == CHOLESKY_DIAGONAL_PINS[H, n]
+
+
 def test_circulant_stream_peak_memory_is_a_few_slabs(monkeypatch):
     # 256-row slabs of 16384 normals made this 288 MiB: 32 MB slabs and their temporaries
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
@@ -518,9 +540,18 @@ def test_map_paths_draws_each_rng_block_once(monkeypatch):
     assert len(philox) == 4096 // 2 // chaoslab.rng.BLOCK_ROWS == 4
 
 
-@pytest.mark.parametrize(("method", "threads"), [("cholesky", 1), ("circulant", 3)])
-def test_map_paths_pool_size_is_a_property_of_the_plan(monkeypatch, method, threads):
-    # a Cholesky GEMM already runs on the BLAS threads, so its slabs get one pool thread
+@pytest.mark.parametrize(
+    ("method", "H", "threads"),
+    [
+        pytest.param("cholesky", 0.3, 1, id="cholesky-1"),
+        pytest.param("cholesky", 0.5, 3, id="cholesky-diagonal-3"),
+        pytest.param("circulant", 0.3, 3, id="circulant-3"),
+    ],
+)
+def test_map_paths_pool_size_is_a_property_of_the_plan(monkeypatch, method, H, threads):
+    # a non-diagonal Cholesky factor's GEMM already runs on the BLAS threads, so
+    # its slabs get one pool thread; the diagonal factor of H = 1/2 is an
+    # elementwise scale, and like circulant it gets the whole pool
     monkeypatch.setenv("CHAOSLAB_THREADS", "3")
     pools = []
 
@@ -530,7 +561,7 @@ def test_map_paths_pool_size_is_a_property_of_the_plan(monkeypatch, method, thre
             super().__init__(max_workers)
 
     monkeypatch.setattr(chaoslab.rng, "ThreadPoolExecutor", RecordingPool)
-    map_paths(FbmGrid(0.3, 16), 4 * 2048, 1, lambda start, batch: None, method)
+    map_paths(FbmGrid(H, 16), 4 * 2048, 1, lambda start, batch: None, method)
     assert pools == [threads]
 
 
