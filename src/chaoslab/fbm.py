@@ -453,8 +453,9 @@ def map_paths(
     at all when m = 0.  The slabs run on the block pool of
     :func:`chaoslab.rng.map_slabs` (one thread for a non-diagonal Cholesky
     factor), so ``consume`` may run concurrently for different batches and
-    should write disjoint rows of preallocated outputs.  An exception raised
-    in ``consume`` propagates.
+    should write disjoint rows of preallocated outputs.  Each batch's
+    ``increments`` is a fresh array that ``consume`` owns and may overwrite
+    in place.  An exception raised in ``consume`` propagates.
     """
     if m < 0:
         raise ValueError("m must be non-negative")

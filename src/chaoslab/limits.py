@@ -266,7 +266,8 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     2 * ``CHAOS2_BLOCK`` columns, the leaf's entries are squared and summed,
     and the leaf sums are added along that tree (``fbm._pairwise_fold``).
     That is the bits of one ``np.sum`` over the squared n x n product M @ M,
-    without building it; at n <= 256 it is one leaf and one GEMM.  Beyond
+    without building it; at n <= 256 it is one leaf and one GEMM.  M = I at
+    H = 1/2, and tr(M^4) = n is set without a GEMM (the GEMM's bits).  Beyond
     n = 4096 it comes from blocked Toeplitz multiplication: ``CHAOS2_BLOCK``
     rows of M at a time, each a window of one mirrored lag vector, are
     multiplied by M with row-wise ``numpy.fft`` transforms against one
@@ -286,7 +287,9 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     tr_m2 = float(weights @ (r**2))
 
     windows = toeplitz_rows(r)  # row i of M, a window of the mirrored lags
-    if n <= CHAOS2_DENSE_MAX_N:
+    if n <= CHAOS2_DENSE_MAX_N and not r[1:].any():
+        tr_m4 = float(n)  # M = I (rho(0) = 1): the GEMM's squared entries sum to n exactly
+    elif n <= CHAOS2_DENSE_MAX_N:
         # M^2's n*n entries one leaf of np.sum's pairwise tree at a time.  A
         # leaf of at most CHAOS2_BLOCK * n entries spans at most
         # CHAOS2_BLOCK + 1 rows; a row split by a leaf edge is computed twice.
@@ -412,7 +415,10 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
     Monte Carlo replicas, and the verdict allows 3 x the DKW-scale MC error
     0.5/sqrt(m).  Phi is ``_normal_cdf``, a numpy port of Cephes ``ndtr`` with
     scipy's bits, so at H = 1/2 (diagonal Cholesky factor) or n > 512
-    (circulant) the check runs on numpy alone.
+    (circulant) the check runs on numpy alone.  At H = 1/2 it makes no BLAS
+    call beyond tr(M^2)'s length-n dot product (tr(M^4) = n needs no GEMM,
+    and the sampler scales elementwise), so no BLAS thread competes with the
+    sampling pool.
     """
     if not 0.0 < H < 0.75:
         raise ValueError("the fourth-moment bound needs H in (0, 3/4)")
@@ -428,7 +434,8 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
     values = np.empty(m)
 
     def consume(start: int, batch: FbmPathBatch) -> None:
-        x = float(n) ** H * batch.increments
+        x = batch.increments  # a fresh array that this batch owns
+        np.multiply(x, float(n) ** H, out=x)
         np.multiply(x, x, out=x)
         x -= 1.0
         values[start : start + batch.m] = scale * x.sum(axis=1)

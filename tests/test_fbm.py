@@ -509,6 +509,40 @@ def test_map_paths_propagates_consumer_errors(monkeypatch):
         map_paths(FbmGrid(0.3, 16), 4096, 1, consume, "circulant")
 
 
+@pytest.mark.parametrize(
+    ("method", "H"),
+    [
+        pytest.param("circulant", 0.3, id="circulant"),
+        pytest.param("cholesky", 0.5, id="cholesky-diagonal"),
+        pytest.param("cholesky", 0.3, id="cholesky"),
+    ],
+)
+def test_map_paths_consumer_owns_and_may_overwrite_each_batch(monkeypatch, method, H):
+    # a consumer may scale increments in place: no batch may share memory with
+    # another batch or with a buffer that a later slab reads or fills
+    monkeypatch.setenv("CHAOSLAB_THREADS", "3")
+    grid = FbmGrid(H, 16)
+    m = 4 * 512 + 3
+    recorded, held = {}, []
+    lock = threading.Lock()
+
+    def consume(start, batch):
+        with lock:
+            recorded[start] = batch.increments.copy()
+            held.append(batch.increments)
+        batch.increments[...] = np.nan
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        map_paths(grid, m, 9, consume, method)
+    finally:
+        sys.setswitchinterval(interval)
+    rows = np.concatenate([recorded[start] for start in sorted(recorded)])
+    np.testing.assert_array_equal(rows, sample_paths(grid, m, 9, method).increments)
+    assert not any(np.may_share_memory(a, b) for i, a in enumerate(held) for b in held[:i])
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

@@ -322,6 +322,33 @@ BERRY_ESSEEN_CHAOS2_PINS = {
     (0.5, 256): ("2.0", "12.1875", "3.046875"),
 }
 
+# repr of chaos2_fourth_moment_exact(0.5, n), recorded while every dense n
+# still ran the GEMM; M = I, so tr(M^4) = n needs none
+CHAOS2_H_HALF_PINS = {
+    1: ("2.0", "60.0", "15.0"),
+    2: ("2.0", "36.0", "9.0"),
+    7: ("2.0", "18.857142857142858", "4.714285714285714"),
+    64: ("2.0", "12.75", "3.1875"),
+    255: ("2.0", "12.188235294117646", "3.0470588235294116"),
+    256: ("2.0", "12.1875", "3.046875"),
+    257: ("2.0", "12.186770428015564", "3.046692607003891"),
+    1000: ("2.0", "12.048", "3.012"),
+    3001: ("2.0", "12.015994668443852", "3.003998667110963"),
+    4096: ("2.0", "12.01171875", "3.0029296875"),
+}
+
+
+def test_chaos2_h_half_dense_bits_need_no_gemm(monkeypatch):
+    def no_gemm(*args, **kwargs):
+        raise AssertionError("GEMM called")
+
+    monkeypatch.setattr(np, "matmul", no_gemm)
+    for n, pinned in CHAOS2_H_HALF_PINS.items():
+        assert tuple(repr(v) for v in chaos2_fourth_moment_exact(0.5, n)) == pinned, n
+    with pytest.raises(AssertionError, match="GEMM called"):
+        chaos2_fourth_moment_exact(0.3, 64)  # off H = 1/2 the GEMM still runs
+
+
 _CHAOS2_PROBE = """
 import json, sys
 from chaoslab.limits import chaos2_fourth_moment_exact
@@ -452,6 +479,19 @@ def test_normal_cdf_is_scipys_ndtr_bit_for_bit():
     want = ndtr(a)
     differ = got.view(np.int64) != want.view(np.int64)
     assert not differ.any(), a[differ][:10]
+
+
+def test_berry_esseen_peak_memory_scales_batches_in_place(monkeypatch):
+    # a scaled copy of each 256-row slab's increments made this 3.37 MiB
+    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+    berry_esseen_check(0.5, 4, 8, 5)  # imports numpy.random (0.7 MiB) before tracing
+    tracemalloc.start()
+    try:
+        berry_esseen_check(0.5, 256, 32768, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * 2**20
 
 
 def test_berry_esseen_validation():
