@@ -66,7 +66,6 @@ def mixture_comparison(
     normalization: str = "monic",
     constants_normalization: str | None = None,
     n_fine: int = 4096,
-    method: str = "circulant",
     variance_tolerance: float | None = None,
     alpha: float = KS_ALPHA,
 ) -> tuple[TestReport, dict[str, np.ndarray]]:
@@ -116,7 +115,7 @@ def mixture_comparison(
         if shift_coefficient != 0.0:
             own_shift[rows] = shift_coefficient * result.mean_weight_derivative
 
-    map_paths(FbmGrid(hurst=H, n=n), m, seed, consume, method)
+    map_paths(FbmGrid(hurst=H, n=n), m, seed, consume)
     reference = sample_mixture_limit(spec, m, derive_seed(seed, "limit-reference"))
 
     ks_report = ks_two_sample(statistic, reference.values, alpha=alpha)
@@ -183,7 +182,6 @@ def riemann_comparison(
     seed: int,
     *,
     normalization: str = "monic",
-    method: str = "circulant",
 ) -> tuple[TestReport, dict[str, np.ndarray]]:
     """Relative L2 distance of n^{qH-1/2} G_n to the per-path Riemann term.
 
@@ -220,7 +218,7 @@ def riemann_comparison(
             renormalized[rows] = factor * result.gn
             riemann[rows] = factor * result.correction
 
-        map_paths(FbmGrid(hurst=H, n=n), m, seed, consume, method)
+        map_paths(FbmGrid(hurst=H, n=n), m, seed, consume)
         all_renormalized.append(renormalized)
         all_riemann.append(riemann)
         sq_diff = sq_term = sq_stat = 0.0

@@ -5,23 +5,20 @@ path covariance ``cov_rh``, and the grid inner products between indicator
 elements of the Cameron–Martin-type Hilbert space (``eps_del`` and its
 diagonal ``alpha_diag``) that drive every weighted-variation computation.
 
-Sampling side: exact Gaussian sampling of increments, either by Cholesky
-factorization of the covariance (n <= ``CHOLESKY_MAX_N`` = 512) or by
-circulant embedding of the stationary autocovariance (any n), with
-counter-based per-path randomness so that path i is a function of (seed, i)
-only.  ``map_paths`` is the one path loop: it builds the sampler plan for
-``(grid, method)`` once, then draws, transforms and hands over the paths of
-one ``rng.slab_rows(row)``-row RNG slab at a time on the block pool of
-``rng.map_slabs``, each block drawn once.  A Cholesky row of n <= 512
-normals always gives a full ``rng.SLAB_ROWS``-row slab, transformed by a
-GEMM on one pool thread, or by an elementwise scale on every pool thread if
-the factor is diagonal (H = 1/2, or n = 1); a circulant slab is transformed
-by ``numpy.fft`` in place in one reused buffer per pool thread, so its
-working set stays in cache at any n.  ``sample_paths`` is its
-consumer that fills one array.  Only a Cholesky plan at H != 1/2 loads
-scipy (in :func:`cholesky`): at H = 1/2 the covariance is diagonal and its
-factor a square root, so circulant sampling and every plan at H = 1/2 run on
-numpy alone, and give the same bits at any BLAS thread count.
+Sampling side: exact Gaussian sampling of increments by one of two plans,
+chosen from the grid alone, with counter-based per-path randomness so that
+path i is a function of (seed, i) only.  Where rho vanishes off lag zero
+(H = 1/2 at any n, or n = 1) the increments are white noise: raw normals
+times n^{-H}.  Everywhere else they come from circulant embedding of the
+stationary autocovariance, which is non-negative definite at every H.
+``map_paths`` is the one path loop: it builds the plan for ``grid`` once,
+then draws, transforms and hands over the paths of one
+``rng.slab_rows(row)``-row RNG slab at a time on every thread of the block
+pool of ``rng.map_slabs``, each block drawn once.  A white-noise slab is scaled elementwise; a circulant slab is transformed by
+``numpy.fft`` in place in one reused buffer per pool thread, so its working
+set stays in cache at any n.  ``sample_paths`` is its consumer that fills
+one array.  Both plans run on numpy alone, and no sampled bit passes
+through a BLAS call, so paths do not depend on the BLAS thread count.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -30,6 +27,7 @@ n^{-2H}.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -61,11 +59,6 @@ __all__ = [
     "save_paths",
 ]
 
-METHODS = ("auto", "cholesky", "circulant")  # sampler names; "auto" picks by n
-# the largest n a Cholesky plan takes, and where "auto" switches to circulant:
-# its rows of n normals then fill rng.SLAB_ROWS-row slabs (256 * 512 doubles
-# is rng.SLAB_BYTES), and GEMM bits depend on the row count
-CHOLESKY_MAX_N = 512
 EIGENVALUE_CLIP = 1e-8
 _MAGIC = b"FBMPATH1"
 # the grid of bounds_suite: Hurst indices (all < 1/2), chaos orders, grid sizes,
@@ -256,8 +249,7 @@ def toeplitz_rows(first_row: np.ndarray) -> np.ndarray:
 
     Row i is the window mirrored[n-1-i : 2n-1-i] of the mirrored lag vector
     first_row[n-1], ..., first_row[1], first_row[0], ..., first_row[n-1], so
-    no n x n array is built; ``.copy()`` gives the C-ordered matrix that
-    ``scipy.linalg.toeplitz(first_row)`` builds, with the same bits.
+    no n x n array is built; ``.copy()`` gives the C-ordered dense matrix.
     """
     mirrored = np.concatenate([first_row[:0:-1], first_row])
     return np.lib.stride_tricks.sliding_window_view(mirrored, len(first_row))[::-1]
@@ -344,71 +336,40 @@ def embedding_spectrum(grid: FbmGrid) -> np.ndarray:
     return np.concatenate([half, half[n - 1 : 0 : -1]])
 
 
-def cholesky(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric ``matrix``.
-
-    A matrix with no nonzero entry below its diagonal, such as the increment
-    covariance n^{-1} I at H = 1/2 (rho vanishes off lag zero), is factored
-    by ``np.sqrt``, which gives LAPACK dpotrf's bits for it, so that case runs
-    on numpy alone.  Any other matrix goes to ``scipy.linalg``, imported on
-    first call.  Only a Cholesky sampler plan (n <= ``CHOLESKY_MAX_N``) calls
-    it, once per plan, with a covariance whose diagonal n^{-2H} is positive.
-    """
-    if not np.tril(matrix, -1).any():
-        return np.sqrt(matrix)
-    import scipy.linalg
-
-    return scipy.linalg.cholesky(matrix, lower=True)
-
-
-def _resolve_method(grid: FbmGrid, method: str) -> str:
-    """The sampler ``method`` names for ``grid``: "auto" resolved, and checked."""
-    if method == "auto":
-        return "cholesky" if grid.n <= CHOLESKY_MAX_N else "circulant"
-    if method not in METHODS:
-        raise ValueError(f"unknown sampling method {method!r}")
-    if method == "cholesky" and grid.n > CHOLESKY_MAX_N:
-        raise ValueError(
-            f"cholesky sampler capped at n = {CHOLESKY_MAX_N}, got n = {grid.n}; "
-            "use circulant (exact at every n)"
-        )
-    return method
-
-
 class _Plan(NamedTuple):
     label: str  # RNG stream label
     raw_len: int  # normals per raw row
     paths_per_row: int
-    max_threads: int | None  # cap on the block pool
     transform: Callable[[np.ndarray], np.ndarray]
 
 
-def _sampler(grid: FbmGrid, method: str) -> _Plan:
-    """Build the sampler plan for ``grid`` and a resolved ``method``: the
-    Cholesky factor or the clipped embedding spectrum, and the transform from
-    raw normals to increments.
+def _sampler(grid: FbmGrid) -> _Plan:
+    """Build the sampler plan for ``grid``: the transform from raw normals
+    to increments, chosen from the grid alone.
 
-    The transform always sees a full slab of ``rng.slab_rows(raw_len)`` rows,
-    so its result for path i never depends on m.  A Cholesky row holds
-    n <= ``CHOLESKY_MAX_N`` normals, so its slabs are always ``rng.SLAB_ROWS``
-    rows; that matters, because the bits of a GEMM row depend on how many
-    rows the GEMM has (with OpenBLAS, GEMMs of 8 to 128 rows round
-    differently from 256-row ones).  A non-diagonal factor runs on a
-    one-thread pool: its GEMM already uses the BLAS threads, and two GEMMs at
-    once run slower.  A diagonal factor (H = 1/2, or n = 1) scales slabs
-    elementwise on the full pool, with its GEMM's bits (each entry of that
-    GEMM has one nonzero product).  A circulant transform is row by row, so
-    its byte-sized ``rng.slab_rows(4n)`` rows may be any height; it runs one
-    ``numpy.fft.ifft`` (single-threaded) per pool thread, in place in that
-    thread's buffer.
+    Where rho vanishes off lag zero (H = 1/2, or n = 1) the covariance is
+    its lag-0 entry times I, so a row of n normals is scaled elementwise by
+    that entry's square root.  Everywhere else the plan is circulant: the
+    clipped embedding spectrum weights a complex row of 2n normal pairs,
+    and one ``numpy.fft.ifft`` (single-threaded) per pool thread, in place
+    in that thread's buffer, turns it into two paths.  Both transforms work
+    row by row and return a new array, so a path's bits depend neither on
+    m nor on the slab height.
     """
+    n, H = grid.n, grid.hurst
+    if not rho(H, np.arange(n))[1:].any():
+        scale = math.sqrt(n ** (-2.0 * H) * rho(H, 0))
+        # the label names the Cholesky plan whose GEMM by this diagonal factor
+        # gave these bits; it seeds the stream, so renaming it would move every
+        # white-noise path and the digests perfbench has recorded
+        return _Plan("fgn-cholesky", n, 1, lambda raw: raw * scale)
+    return _circulant(grid)
+
+
+def _circulant(grid: FbmGrid) -> _Plan:
+    """The circulant plan for ``grid``, exact at every H and n; it raises on a
+    clearly negative embedding eigenvalue."""
     n = grid.n
-    if method == "cholesky":
-        factor = cholesky(grid.increment_covariance())
-        if np.tril(factor, -1).any():
-            return _Plan("fgn-cholesky", n, 1, 1, lambda raw: raw @ factor.T)
-        scale = factor.diagonal().copy()  # raw * scale is a new array: raw is reused
-        return _Plan("fgn-cholesky", n, 1, None, lambda raw: raw * scale)
     # one complex transform yields two paths
     M = 2 * n
     lam = embedding_spectrum(grid)
@@ -438,31 +399,28 @@ def _sampler(grid: FbmGrid, method: str) -> _Plan:
         pairs[:, 1] = z.imag[:, :n]
         return pairs.reshape(2 * len(raw), n)
 
-    return _Plan("fgn-circulant", 2 * M, 2, None, transform)
+    return _Plan("fgn-circulant", 2 * M, 2, transform)
 
 
-def map_paths(
-    grid: FbmGrid, m: int, seed: int, consume: Callable[[int, FbmPathBatch], None], method: str = "auto"
-) -> None:
+def map_paths(grid: FbmGrid, m: int, seed: int, consume: Callable[[int, FbmPathBatch], None]) -> None:
     """Call ``consume(start, batch)`` for consecutive batches of paths [0, m).
 
     ``batch`` holds paths [start, start + batch.m), those of one transformed
-    slab of ``rng.slab_rows`` raw rows (the last cut at m): 256 rows for a
-    Cholesky plan, ``rng.slab_rows(4n)`` for a circulant one.  ``method`` is
-    checked first, even when m = 0; the sampler plan is built once, and not
-    at all when m = 0.  The slabs run on the block pool of
-    :func:`chaoslab.rng.map_slabs` (one thread for a non-diagonal Cholesky
-    factor), so ``consume`` may run concurrently for different batches and
-    should write disjoint rows of preallocated outputs.  Each batch's
-    ``increments`` is a fresh array that ``consume`` owns and may overwrite
-    in place.  An exception raised in ``consume`` propagates.
+    slab of ``rng.slab_rows`` raw rows (the last cut at m): 1 MiB of raw
+    normals, so 256 rows of a white-noise plan at n <= 512 and
+    ``rng.slab_rows(4n)`` rows of a circulant one.  The sampler plan is
+    built once, and not at all when m = 0.  The slabs run on the block pool
+    of :func:`chaoslab.rng.map_slabs`, so ``consume`` may run concurrently
+    for different batches and should write disjoint rows of preallocated
+    outputs.  Each batch's ``increments`` is a fresh array that ``consume``
+    owns and may overwrite in place.  An exception raised in ``consume``
+    propagates.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    method = _resolve_method(grid, method)
     if m == 0:
         return
-    plan = _sampler(grid, method)
+    plan = _sampler(grid)
 
     def run(row: int, raw: np.ndarray) -> None:
         start = row * plan.paths_per_row
@@ -471,15 +429,15 @@ def map_paths(
 
     height = slab_rows(plan.raw_len)
     rows = -(-m // (height * plan.paths_per_row)) * height  # whole slabs
-    map_slabs(derive_seed(seed, plan.label), plan.raw_len, rows, run, plan.max_threads)
+    map_slabs(derive_seed(seed, plan.label), plan.raw_len, rows, run)
 
 
-def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmPathBatch:
+def sample_paths(grid: FbmGrid, m: int, seed: int) -> FbmPathBatch:
     """Sample m fBm paths; path i is a deterministic function of (seed, i).
 
-    method: "cholesky" (exact, n <= 512), "circulant" (exact, any n: the
-    embedding spectrum is non-negative at every H), or "auto" (cholesky up
-    to n = 512, circulant above).  To reduce a large m in bounded memory use
+    The plan follows from the grid (see :func:`_sampler`): white noise where
+    rho vanishes off lag zero, circulant embedding (exact at every H and n)
+    everywhere else.  To reduce a large m in bounded memory use
     :func:`map_paths`, which hands over the same paths batch by batch.
     """
     increments = np.empty((max(m, 0), grid.n))  # map_paths rejects m < 0
@@ -487,7 +445,7 @@ def sample_paths(grid: FbmGrid, m: int, seed: int, method: str = "auto") -> FbmP
     def fill(start: int, batch: FbmPathBatch) -> None:
         increments[start : start + batch.m] = batch.increments
 
-    map_paths(grid, m, seed, fill, method)
+    map_paths(grid, m, seed, fill)
     return FbmPathBatch(grid, increments, seed)
 
 

@@ -348,8 +348,8 @@ def berry_esseen_coefficient(q: int) -> float:
     return math.sqrt((q - 1) / (3.0 * q))
 
 
-# Cephes ndtr, erf and erfc (S. L. Moshier, 1989), the algorithm behind
-# scipy.special.ndtr: the same coefficients and Horner order, no fused ops.
+# Cephes ndtr, erf and erfc (S. L. Moshier, 1989): the same coefficients and
+# Horner order, no fused ops, so the same bits as a compiled Cephes ndtr.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
 _ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
@@ -385,7 +385,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def _normal_cdf(a: np.ndarray) -> np.ndarray:
-    """Phi(a) with the bits of ``scipy.special.ndtr`` (a port of Cephes ``ndtr``)."""
+    """Phi(a) with the bits of Cephes ``ndtr``, of which it is a port."""
     x = a * _SQRT1_2
     z = np.abs(x)
     out = np.empty_like(x)
@@ -413,12 +413,11 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
     sup_z |P(F_n <= z) - Phi(z)| <= sqrt((q-1)/(3q)) sqrt(|E F_n^4 - 3|); the
     right side is exact (Toeplitz traces), the left side is estimated from m
     Monte Carlo replicas, and the verdict allows 3 x the DKW-scale MC error
-    0.5/sqrt(m).  Phi is ``_normal_cdf``, a numpy port of Cephes ``ndtr`` with
-    scipy's bits, so at H = 1/2 (diagonal Cholesky factor) or n > 512
-    (circulant) the check runs on numpy alone.  At H = 1/2 it makes no BLAS
-    call beyond tr(M^2)'s length-n dot product (tr(M^4) = n needs no GEMM,
-    and the sampler scales elementwise), so no BLAS thread competes with the
-    sampling pool.
+    0.5/sqrt(m).  Phi is ``_normal_cdf``, a numpy port of Cephes ``ndtr``,
+    so the check runs on numpy alone.  At H = 1/2 it makes no BLAS call
+    beyond tr(M^2)'s length-n dot product (tr(M^4) = n needs no GEMM, and
+    the white-noise sampler scales elementwise), so no BLAS thread competes
+    with the sampling pool.
     """
     if not 0.0 < H < 0.75:
         raise ValueError("the fourth-moment bound needs H in (0, 3/4)")

@@ -95,7 +95,6 @@ def map_slabs(
     row_len: int,
     rows: int,
     consume: Callable[[int, np.ndarray], None],
-    max_threads: int | None = None,
 ) -> None:
     """Call ``consume(start, slab)`` for every slab of rows [0, rows), on a thread pool.
 
@@ -103,15 +102,12 @@ def map_slabs(
     rows, except that the last slab is cut at ``rows`` and slabs wholly past
     it are not drawn.  Each block's slabs are drawn into one buffer and
     consumed in order by one task, so ``consume`` must not keep a reference
-    to ``slab``.  The pool has ``min(worker_count(), max_threads, blocks)``
-    threads (``max_threads`` None means no cap; below 1 it is a ValueError),
-    so ``consume`` may run concurrently for different blocks.  An exception
+    to ``slab``.  The pool has ``min(worker_count(), blocks)`` threads, so
+    ``consume`` may run concurrently for different blocks.  An exception
     raised in ``consume`` propagates to the caller.
     """
     if rows < 0 or row_len <= 0:
         raise ValueError("need rows >= 0, row_len >= 1")
-    if max_threads is not None and max_threads < 1:
-        raise ValueError(f"max_threads must be None or >= 1, got {max_threads}")
     height = slab_rows(row_len)
     blocks = -(-rows // BLOCK_ROWS)
     if blocks == 0:
@@ -126,7 +122,7 @@ def map_slabs(
             if start >= rows:
                 return
 
-    with ThreadPoolExecutor(min(worker_count(), max_threads or blocks, blocks)) as pool:
+    with ThreadPoolExecutor(min(worker_count(), blocks)) as pool:
         for _ in pool.map(run, range(blocks)):
             pass
 

@@ -367,8 +367,8 @@ def full_variation(
 
 
 def _fast_len(target: int) -> int:
-    """The smallest 5-smooth integer >= ``target`` (scipy's ``next_fast_len`` for
-    real input); below 2**64 the 5-smooth integers are exactly the divisors of 30**64."""
+    """The smallest 5-smooth integer >= ``target`` (the next fast real-FFT
+    length); below 2**64 the 5-smooth integers are exactly the divisors of 30**64."""
     size = target
     while 30**64 % size:
         size += 1

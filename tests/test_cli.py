@@ -228,8 +228,6 @@ def test_fbm_export_paths_roundtrip(tmp_path):
             "4",
             "--seed",
             "0",
-            "--method",
-            "circulant",
             "--config",
             str(config_path),
             "--out",
@@ -242,7 +240,7 @@ def test_fbm_export_paths_roundtrip(tmp_path):
     assert len(payload["reports"]) == 35  # full covariance-bound grid
     assert all(report["name"].startswith("fbm-") for report in payload["reports"])
     loaded = load_paths(out_dir / "paths.fbm")
-    expected = sample_paths(FbmGrid(hurst=0.5, n=16), 4, 0, method="circulant")
+    expected = sample_paths(FbmGrid(hurst=0.5, n=16), 4, 0)
     assert np.array_equal(loaded.paths, expected.paths)  # levels are serialized
     np.testing.assert_allclose(loaded.increments, expected.increments, atol=1e-15)
     assert loaded.grid.hurst == 0.5 and loaded.grid.n == 16
@@ -355,15 +353,21 @@ def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, argv, config,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_method_auto_is_accepted_by_flag_and_by_config(tmp_path, capsys):
+def test_method_config_accepts_only_auto(tmp_path, capsys):
+    # the plan follows from H and n; the key stays, with its one value, in
+    # every report's config block
     argv = ["fbm", "--n", "8", "--m", "2"]
-    assert main(argv + ["--method", "auto", "--out", str(tmp_path / "flag")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
     assert _run_with_config(tmp_path, argv, {"method": "auto"}) == 0
-    flag, config = (_read_report(tmp_path / name) for name in ("flag", "out"))
-    assert flag["config"]["method"] == config["config"]["method"] == "auto"
-    assert flag["reports"] == config["reports"]
-    assert _run_with_config(tmp_path, argv, {"method": "fast"}) == 2
-    assert "method must be 'auto', 'cholesky' or 'circulant'" in capsys.readouterr().err
+    default, config = (_read_report(tmp_path / name) for name in ("default", "out"))
+    assert default["config"]["method"] == config["config"]["method"] == "auto"
+    assert default["reports"] == config["reports"]
+    for method in ("cholesky", "circulant"):
+        assert _run_with_config(tmp_path, argv, {"method": method}) == 2
+        assert "method must be 'auto'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--method", "auto"])  # the flag is gone
+    assert exited.value.code == 2
 
 
 def test_config_values_of_the_default_type_are_accepted(tmp_path):
@@ -386,6 +390,8 @@ def _output_digest(out_dir) -> str:
 
 # Output digests at tiny sizes, recorded before the per-replica tables were
 # written by one column helper: a change of these bytes is a change of output.
+# The fbm pin was re-recorded when --method went: the same paths, with
+# "method": "auto" in place of "circulant" in the config block.
 @pytest.mark.parametrize(
     "argv, config, pin",
     [
@@ -406,9 +412,9 @@ def _output_digest(out_dir) -> str:
             "15efdb2759f46dbd91f175befeea5df0b9040879cc2d65a81b58a7e977d34624",
         ),
         (
-            ["fbm", "--H", "0.3", "--n", "16", "--m", "5", "--seed", "1", "--method", "circulant"],
+            ["fbm", "--H", "0.3", "--n", "16", "--m", "5", "--seed", "1"],
             {},
-            "3c6cde412ff47f71faefffa66a76d5f15d87a24d4315253148ccb1daa8d9024e",
+            "798d2d01087c555cd63f813e0f773cbc2939e85a9b1d204588f46a96aaae39be",
         ),
     ],
     ids=["limit-test", "example-brownian", "identities", "fbm"],

@@ -52,7 +52,7 @@ def test_critical_lower_shift_reuses_the_correction_derivative(monkeypatch):
     order_2 = sorted(shape[0] for shape, order in calls if order == 2 and shape[1] == n)
     assert order_2 == [5, 256, 256, 256, 256]
     monkeypatch.undo()
-    levels = sample_paths(FbmGrid(0.25, n), m, 2, "circulant").levels_at_increment_start()
+    levels = sample_paths(FbmGrid(0.25, n), m, 2).levels_at_increment_start()
     np.testing.assert_array_equal(arrays["own_shift"], 0.25 * np.mean(COS(levels, 2), axis=1))
 
 

@@ -307,7 +307,7 @@ def test_circulant_transform_has_the_bits_of_the_scipy_transform(n):
     rng_local = np.random.default_rng(n)
     for H in (0.3, 0.8):
         grid = FbmGrid(H, n)
-        transform = chaoslab.fbm._sampler(grid, "circulant").transform
+        transform = chaoslab.fbm._circulant(grid).transform
         # two full slabs through the same per-thread buffer, then a short one
         for height in (chaoslab.rng.slab_rows(4 * n),) * 2 + (3,):
             raw = rng_local.standard_normal((height, 4 * n))
@@ -321,10 +321,8 @@ from chaoslab.limits import brownian_example_run
 
 fbm = hashlib.sha256()
 for n in (3, 64, 1000):
-    for H in (0.1, 0.8):
-        fbm.update(sample_paths(FbmGrid(H, n), 301, 9, "circulant").increments.tobytes())
-for n in (64, 512):
-    fbm.update(sample_paths(FbmGrid(0.5, n), 301, 9, "cholesky").increments.tobytes())
+    for H in (0.1, 0.5, 0.8):
+        fbm.update(sample_paths(FbmGrid(H, n), 301, 9).increments.tobytes())
 _, arrays = brownian_example_run(16, 64, 5, resolution=2048)
 brownian = hashlib.sha256(b"".join(column.tobytes() for column in arrays.values()))
 print(fbm.hexdigest(), brownian.hexdigest())
@@ -332,9 +330,9 @@ print(fbm.hexdigest(), brownian.hexdigest())
 
 
 def test_circulant_and_brownian_bits_do_not_depend_on_the_blas_thread_count():
-    # Cholesky bits with a non-diagonal factor do (a GEMM's rounding follows its
-    # BLAS thread split); the circulant plan, the diagonal Cholesky factor of
-    # H = 1/2 (an elementwise scale) and the Brownian example use no BLAS call
+    # no sampled bit passes through a BLAS call: the circulant plan runs FFTs,
+    # the white-noise plan of H = 1/2 scales elementwise, and the Brownian
+    # example draws its normals directly
     src = str(Path(chaoslab.fbm.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
@@ -371,22 +369,55 @@ def test_sample_paths_empty_batch():
     batch = sample_paths(FbmGrid(0.4, 8), 0, seed=3)
     assert batch.m == 0
     assert batch.paths.shape == (0, 9)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_paths(FbmGrid(0.4, 8), -1, seed=3)
 
 
 def test_sample_paths_determinism_and_chunk_invariance():
     grid = FbmGrid(0.3, 32)
-    full = sample_paths(grid, 8, seed=9, method="circulant")
-    again = sample_paths(grid, 8, seed=9, method="circulant")
+    full = sample_paths(grid, 8, seed=9)
+    again = sample_paths(grid, 8, seed=9)
     np.testing.assert_array_equal(full.paths, again.paths)
     # path i does not depend on m
-    head = sample_paths(grid, 5, seed=9, method="circulant")
+    head = sample_paths(grid, 5, seed=9)
     np.testing.assert_array_equal(head.paths, full.paths[:5])
-    chol = sample_paths(grid, 4, seed=9, method="cholesky")
-    chol_head = sample_paths(grid, 3, seed=9, method="cholesky")
-    np.testing.assert_array_equal(chol_head.paths, chol.paths[:3])
+    white = sample_paths(FbmGrid(0.5, 32), 4, seed=9)
+    white_head = sample_paths(FbmGrid(0.5, 32), 3, seed=9)
+    np.testing.assert_array_equal(white_head.paths, white.paths[:3])
 
 
-def _collect(grid, m, seed, method):
+# the Hurst index at which a test runs each plan.  The white-noise plan is
+# named "cholesky-diagonal" in test ids: it scales by the diagonal Cholesky
+# factor of the covariance, and keeps that plan's RNG label "fgn-cholesky"
+PLAN_HURST = {"cholesky-diagonal": 0.5, "circulant": 0.3}
+
+
+@pytest.mark.parametrize(
+    ("H", "n", "plan"),
+    [(0.5, n, "fgn-cholesky") for n in (1, 16, 512, 513, 4096)]
+    + [(0.3, 1, "fgn-cholesky")]
+    + [(H, n, "fgn-circulant") for H in (0.05, 0.3, 0.49, 0.51, 0.7, 0.95) for n in (2, 16, 512, 513, 4096)],
+)
+def test_white_noise_plan_exactly_where_rho_vanishes_off_lag_zero(H, n, plan):
+    vanishes = not np.asarray(rho(H, np.arange(n)))[1:].any()
+    assert vanishes == (plan == "fgn-cholesky")
+    assert chaoslab.fbm._sampler(FbmGrid(H, n)).label == plan
+
+
+def test_circulant_plan_raises_on_a_clearly_negative_embedding_eigenvalue(monkeypatch):
+    # the spectrum is non-negative at every H, so only a spectrum changed on
+    # purpose reaches the check; a dip within EIGENVALUE_CLIP is clipped to 0
+    grid = FbmGrid(0.3, 16)
+    spectrum = embedding_spectrum(grid)
+    monkeypatch.setattr(chaoslab.fbm, "embedding_spectrum", lambda grid: spectrum)
+    spectrum[3] = -0.5 * chaoslab.fbm.EIGENVALUE_CLIP * spectrum.max()
+    assert chaoslab.fbm._sampler(grid).label == "fgn-circulant"
+    spectrum[3] = -2.0 * chaoslab.fbm.EIGENVALUE_CLIP * spectrum.max()
+    with pytest.raises(ValueError, match="circulant embedding failed"):
+        chaoslab.fbm._sampler(grid)
+
+
+def _collect(grid, m, seed):
     """The batches map_paths hands over, keyed by their first path."""
     batches = {}
     lock = threading.Lock()
@@ -395,34 +426,36 @@ def _collect(grid, m, seed, method):
         with lock:
             batches[start] = batch
 
-    map_paths(grid, m, seed, consume, method)
+    map_paths(grid, m, seed, consume)
     return [batches[start] for start in sorted(batches)]
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize(
-    ("method", "n", "slab_paths"),
+    ("plan", "n", "slab_paths"),
     [
-        pytest.param("cholesky", 16, 256, id="cholesky-256"),
+        pytest.param("cholesky-diagonal", 16, 256, id="cholesky-diagonal-256"),
+        # a white-noise row at n = 4096 holds 4096 normals, so its 1 MiB slab is 32 rows
+        pytest.param("cholesky-diagonal", 4096, 32, id="cholesky-diagonal-n4096-32"),
         pytest.param("circulant", 16, 512, id="circulant-512"),
         # a circulant row at n = 4096 holds 16384 normals, so its 1 MiB slab is 8 rows
         pytest.param("circulant", 4096, 16, id="circulant-n4096-16"),
     ],
 )
-def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, method, n, slab_paths):
+def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, plan, n, slab_paths):
     # at "3" the pool may outnumber the cores; a short switch interval interleaves blocks
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    grid = FbmGrid(0.3, n)
+    grid = FbmGrid(PLAN_HURST[plan], n)
     m = 4 * slab_paths + 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        batches = _collect(grid, m, 9, method)
+        batches = _collect(grid, m, 9)
     finally:
         sys.setswitchinterval(interval)
     assert [b.m for b in batches] == [slab_paths] * 4 + [3]
     assert all(b.seed == 9 for b in batches)
-    whole = sample_paths(grid, m, 9, method)
+    whole = sample_paths(grid, m, 9)
     np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
     np.testing.assert_array_equal(np.concatenate([b.paths for b in batches]), whole.paths)
 
@@ -431,45 +464,44 @@ def _digest(batch):
     return hashlib.sha256(batch.increments.tobytes() + batch.paths.tobytes()).hexdigest()
 
 
-# sha256 of sample_paths(FbmGrid(0.3, 16), 769, 9, "cholesky") increments then
-# levels, recorded when a Cholesky stream still transformed 2048-path batches
-CHOLESKY_16_769 = "a4d089b1542ab792acc58993c7e277f5df99f53b88a57e3b2ee0cf128c10e54a"
+# sha256 of sample_paths(FbmGrid(0.3, 16), 1537, 9) increments then levels,
+# recorded while the circulant plan was still chosen there by name
+CIRCULANT_16_1537 = "b438ca11f8cf3ebb8d2c9335c47c593f329437f3c1bc3570afa50da7f20101d1"
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab(monkeypatch, threads):
-    # 769 paths leave one row in the last slab: cut before the transform, that
-    # row would go through a matrix-vector product, whose bits differ from the GEMM's
+    # 1537 paths need one pair row of the last slab: the whole slab is
+    # transformed, and the batch is cut to one path after the transform
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
     grid = FbmGrid(0.3, 16)
-    batches = _collect(grid, 769, 9, "cholesky")
-    assert [b.m for b in batches] == [256, 256, 256, 1]
-    whole = sample_paths(grid, 769, 9, "cholesky")
+    batches = _collect(grid, 1537, 9)
+    assert [b.m for b in batches] == [512, 512, 512, 1]
+    whole = sample_paths(grid, 1537, 9)
     np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
-    assert _digest(whole) == CHOLESKY_16_769
+    assert _digest(whole) == CIRCULANT_16_1537
 
 
-# sha256 of increments then levels.  The circulant pin was recorded while every
-# slab was 256 rows.  The Cholesky pin is at the largest n a Cholesky plan
-# takes, recorded while the cap was still 4096: 256 rows of 512 normals fill
-# exactly rng.SLAB_BYTES, and a shorter slab would change it (GEMM bits depend
-# on the row count)
+# sha256 of increments then levels at H = 0.3, and the plan that samples them;
+# recorded while every slab was 256 rows
 SLAB_PINS = {
     (4096, 1029, "circulant"): "839bfa91b9a1717fbd7eabb6add9c111a1db8986d2b11133311466e24cfefa81",
-    (512, 300, "cholesky"): "20921761e7e07c6af4a458b72f9a661bc760847b1360424c96a49f71c82c40e4",
 }
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
-@pytest.mark.parametrize(("n", "m", "method"), sorted(SLAB_PINS))
-def test_sample_paths_bits_survive_byte_sized_slabs(monkeypatch, threads, n, m, method):
+@pytest.mark.parametrize(("n", "m", "plan"), sorted(SLAB_PINS))
+def test_sample_paths_bits_survive_byte_sized_slabs(monkeypatch, threads, n, m, plan):
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    assert _digest(sample_paths(FbmGrid(0.3, n), m, 9, method)) == SLAB_PINS[n, m, method]
+    grid = FbmGrid(0.3, n)
+    assert chaoslab.fbm._sampler(grid).label == f"fgn-{plan}"
+    assert _digest(sample_paths(grid, m, 9)) == SLAB_PINS[n, m, plan]
 
 
-# sha256 of sample_paths(FbmGrid(H, n), 769, 9, "cholesky") increments then
-# levels, recorded while a diagonal factor still went through a one-thread GEMM.
-# At n = 1 every H gives N(0, 1) * 1, so (0.3, 1) and (0.5, 1) agree
+# sha256 of sample_paths(FbmGrid(H, n), 769, 9) increments then levels,
+# recorded while a diagonal Cholesky factor still went through a one-thread
+# GEMM; the white-noise plan's elementwise scale keeps them.  At n = 1 every
+# H gives N(0, 1) * 1, so (0.3, 1) and (0.5, 1) agree
 CHOLESKY_DIAGONAL_PINS = {
     (0.5, 1): "b4c6e7ca84e18202ff9f99139b12e777b4d24d9fb847b0c163694c4b1427ed30",
     (0.5, 64): "220cde2137bcfe822a8457231553ed1d8db7b6a25672ddcc438fb8e3e0c7f02c",
@@ -482,7 +514,7 @@ CHOLESKY_DIAGONAL_PINS = {
 @pytest.mark.parametrize(("H", "n"), sorted(CHOLESKY_DIAGONAL_PINS))
 def test_diagonal_cholesky_scale_has_the_gemm_bits(monkeypatch, threads, H, n):
     monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    digest = _digest(sample_paths(FbmGrid(H, n), 769, 9, "cholesky"))
+    digest = _digest(sample_paths(FbmGrid(H, n), 769, 9))
     assert digest == CHOLESKY_DIAGONAL_PINS[H, n]
 
 
@@ -491,7 +523,7 @@ def test_circulant_stream_peak_memory_is_a_few_slabs(monkeypatch):
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
     tracemalloc.start()
     try:
-        map_paths(FbmGrid(0.3, 4096), 2048, 1, lambda start, batch: None, "circulant")
+        map_paths(FbmGrid(0.3, 4096), 2048, 1, lambda start, batch: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -506,22 +538,15 @@ def test_map_paths_propagates_consumer_errors(monkeypatch):
             raise RuntimeError("bad batch")
 
     with pytest.raises(RuntimeError, match="bad batch"):
-        map_paths(FbmGrid(0.3, 16), 4096, 1, consume, "circulant")
+        map_paths(FbmGrid(0.3, 16), 4096, 1, consume)
 
 
-@pytest.mark.parametrize(
-    ("method", "H"),
-    [
-        pytest.param("circulant", 0.3, id="circulant"),
-        pytest.param("cholesky", 0.5, id="cholesky-diagonal"),
-        pytest.param("cholesky", 0.3, id="cholesky"),
-    ],
-)
-def test_map_paths_consumer_owns_and_may_overwrite_each_batch(monkeypatch, method, H):
+@pytest.mark.parametrize("plan", ["circulant", "cholesky-diagonal"])
+def test_map_paths_consumer_owns_and_may_overwrite_each_batch(monkeypatch, plan):
     # a consumer may scale increments in place: no batch may share memory with
     # another batch or with a buffer that a later slab reads or fills
     monkeypatch.setenv("CHAOSLAB_THREADS", "3")
-    grid = FbmGrid(H, 16)
+    grid = FbmGrid(PLAN_HURST[plan], 16)
     m = 4 * 512 + 3
     recorded, held = {}, []
     lock = threading.Lock()
@@ -535,11 +560,11 @@ def test_map_paths_consumer_owns_and_may_overwrite_each_batch(monkeypatch, metho
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        map_paths(grid, m, 9, consume, method)
+        map_paths(grid, m, 9, consume)
     finally:
         sys.setswitchinterval(interval)
     rows = np.concatenate([recorded[start] for start in sorted(recorded)])
-    np.testing.assert_array_equal(rows, sample_paths(grid, m, 9, method).increments)
+    np.testing.assert_array_equal(rows, sample_paths(grid, m, 9).increments)
     assert not any(np.may_share_memory(a, b) for i, a in enumerate(held) for b in held[:i])
 
 
@@ -556,36 +581,28 @@ def _count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize(
-    ("method", "plan_step"), [("cholesky", "cholesky"), ("circulant", "embedding_spectrum")]
+    ("plan", "plan_step"), [("circulant", "embedding_spectrum"), ("cholesky-diagonal", "_sampler")]
 )
-def test_map_paths_builds_one_plan(monkeypatch, method, plan_step):
+def test_map_paths_builds_one_plan(monkeypatch, plan, plan_step):
     calls = _count_calls(monkeypatch, chaoslab.fbm, plan_step)
+    grid = FbmGrid(PLAN_HURST[plan], 16)
     m = 3 * 2048 + 1
-    assert sum(b.m for b in _collect(FbmGrid(0.3, 16), m, 2, method)) == m
+    assert sum(b.m for b in _collect(grid, m, 2)) == m
     assert len(calls) == 1
-    assert _collect(FbmGrid(0.3, 16), 0, 2, method) == []
+    assert _collect(grid, 0, 2) == []
     assert len(calls) == 1  # m = 0 builds no plan
 
 
 def test_map_paths_draws_each_rng_block_once(monkeypatch):
     philox = _count_calls(monkeypatch, chaoslab.rng.np.random, "Philox")
     # 4096 circulant paths are 2048 pair rows: four 512-row blocks
-    assert sum(b.m for b in _collect(FbmGrid(0.3, 1024), 4096, 1, "circulant")) == 4096
+    assert sum(b.m for b in _collect(FbmGrid(0.3, 1024), 4096, 1)) == 4096
     assert len(philox) == 4096 // 2 // chaoslab.rng.BLOCK_ROWS == 4
 
 
-@pytest.mark.parametrize(
-    ("method", "H", "threads"),
-    [
-        pytest.param("cholesky", 0.3, 1, id="cholesky-1"),
-        pytest.param("cholesky", 0.5, 3, id="cholesky-diagonal-3"),
-        pytest.param("circulant", 0.3, 3, id="circulant-3"),
-    ],
-)
-def test_map_paths_pool_size_is_a_property_of_the_plan(monkeypatch, method, H, threads):
-    # a non-diagonal Cholesky factor's GEMM already runs on the BLAS threads, so
-    # its slabs get one pool thread; the diagonal factor of H = 1/2 is an
-    # elementwise scale, and like circulant it gets the whole pool
+@pytest.mark.parametrize("plan", [pytest.param(plan, id=f"{plan}-3") for plan in PLAN_HURST])
+def test_map_paths_pool_size_is_a_property_of_the_plan(monkeypatch, plan):
+    # neither transform calls the BLAS, so every plan gets the whole pool
     monkeypatch.setenv("CHAOSLAB_THREADS", "3")
     pools = []
 
@@ -595,36 +612,15 @@ def test_map_paths_pool_size_is_a_property_of_the_plan(monkeypatch, method, H, t
             super().__init__(max_workers)
 
     monkeypatch.setattr(chaoslab.rng, "ThreadPoolExecutor", RecordingPool)
-    map_paths(FbmGrid(H, 16), 4 * 2048, 1, lambda start, batch: None, method)
-    assert pools == [threads]
-
-
-def test_sample_paths_method_validation():
-    grid = FbmGrid(0.3, 8)
-    with pytest.raises(ValueError):
-        sample_paths(grid, 1, 0, method="spectral")
-    with pytest.raises(ValueError, match="spectral"):
-        sample_paths(grid, 0, 0, method="spectral")  # checked even when nothing is drawn
-    with pytest.raises(ValueError):
-        sample_paths(grid, -1, 0)
-    with pytest.raises(ValueError, match="cholesky"):
-        sample_paths(FbmGrid(0.3, 513), 1, 0, method="cholesky")
-
-
-def test_auto_picks_cholesky_up_to_its_cap_and_circulant_above():
-    assert chaoslab.fbm.CHOLESKY_MAX_N == 512
-    at_cap, above = FbmGrid(0.3, 512), FbmGrid(0.3, 513)
-    assert _digest(sample_paths(at_cap, 3, 9)) == _digest(sample_paths(at_cap, 3, 9, "cholesky"))
-    assert _digest(sample_paths(above, 3, 9)) == _digest(sample_paths(above, 3, 9, "circulant"))
-    with pytest.raises(ValueError, match=r"capped at n = 512.*circulant"):
-        sample_paths(above, 3, 9, "cholesky")
+    map_paths(FbmGrid(PLAN_HURST[plan], 16), 4 * 2048, 1, lambda start, batch: None)
+    assert pools == [3]
 
 
 def _circulant_maps(grid):
     """The transposes of the circulant transform's two n x 4n maps A0, A1 from a
     raw row to its even and odd path, fed the 4n unit rows one slab at a time."""
     n = grid.n
-    transform = chaoslab.fbm._sampler(grid, "circulant").transform
+    transform = chaoslab.fbm._circulant(grid).transform
     height = chaoslab.rng.slab_rows(4 * n)
     maps = np.empty((2, 4 * n, n))
     for lo in range(0, 4 * n, height):
@@ -656,35 +652,12 @@ def test_cholesky_reconstructs_covariance_exactly():
         np.testing.assert_allclose(L @ L.T, cov, atol=1e-10)
 
 
-def test_cholesky_factor_is_scipys_and_needs_no_scipy_at_h_half(monkeypatch):
-    covariances = [FbmGrid(0.5, n).increment_covariance() for n in range(1, 513)]
-    factors = [scipy.linalg.cholesky(cov, lower=True) for cov in covariances]
-    for n in (1, 2, 64, 512):
-        cov = FbmGrid(0.4, n).increment_covariance()
-        assert _same_bits(chaoslab.fbm.cholesky(cov), scipy.linalg.cholesky(cov, lower=True)), n
-    # an import of scipy or any submodule now raises, so none may be attempted
-    for name in [name for name in sys.modules if name.split(".")[0] == "scipy"]:
-        monkeypatch.setitem(sys.modules, name, None)
-    for n, (cov, factor) in enumerate(zip(covariances, factors), start=1):
-        assert _same_bits(chaoslab.fbm.cholesky(cov), factor), n
-
-
 def test_monte_carlo_increment_covariance_h_half():
     grid = FbmGrid(0.5, 4)
-    batch = sample_paths(grid, 40_000, seed=11, method="circulant")
+    batch = sample_paths(grid, 40_000, seed=11)
     emp = batch.increments.T @ batch.increments / batch.m
     se = 0.25 * math.sqrt(2.0 / batch.m)  # var of a variance estimate ~ 2 sigma^4 / m
     np.testing.assert_allclose(emp, 0.25 * np.eye(4), atol=5 * se + 3e-3)
-
-
-def test_methods_agree_statistically_on_lag_one_correlation():
-    grid = FbmGrid(0.3, 64)
-    rho_target = rho(0.3, 1)
-    for method in ("cholesky", "circulant"):
-        batch = sample_paths(grid, 8000, seed=13, method=method)
-        x = batch.increments * 64.0**0.3
-        emp = float(np.mean(x[:, :-1] * x[:, 1:]))
-        assert emp == pytest.approx(rho_target, abs=4.0 / math.sqrt(8000 * 63))
 
 
 def test_batch_rejects_bad_increment_shape():
@@ -693,9 +666,9 @@ def test_batch_rejects_bad_increment_shape():
         FbmPathBatch(grid, np.zeros((2, 5)), seed=0)
 
 
-@pytest.mark.parametrize("method", ["cholesky", "circulant"])
-def test_levels_are_the_zero_padded_cumsum_of_increments(method):
-    batch = sample_paths(FbmGrid(0.3, 16), 5, seed=4, method=method)
+@pytest.mark.parametrize("plan", ["cholesky-diagonal", "circulant"])
+def test_levels_are_the_zero_padded_cumsum_of_increments(plan):
+    batch = sample_paths(FbmGrid(PLAN_HURST[plan], 16), 5, seed=4)
     assert np.all(batch.paths[:, 0] == 0.0)
     expected = np.concatenate([np.zeros((5, 1)), np.cumsum(batch.increments, axis=1)], axis=1)
     np.testing.assert_array_equal(batch.paths, expected)

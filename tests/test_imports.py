@@ -1,5 +1,5 @@
-"""Static scans of the sources (no unused imports, no new knobs), and which
-subcommands load scipy.
+"""Static scans of the sources (no unused imports, no new knobs), and a check
+that no subcommand needs scipy.
 
 No linter ships with the project, so the first scan is pyflakes' F401 check
 in small: a name an import binds must be read somewhere in its module, be
@@ -12,15 +12,12 @@ its public functions and methods plus the field defaults of its public
 dataclasses and NamedTuples ("public" meaning no leading underscore).  A
 change that adds an option raises ``MAX_KNOBS`` in its own diff.
 
-The last three tests run subcommands and the exact half in a fresh
-interpreter.  The circulant sampler, every sampler at H = 1/2 (its Cholesky
-factor is diagonal), ``berry-esseen`` there (Phi is a numpy port of
-``ndtr``), the Brownian example, the exact tables, the ρ^q series, the
-blocked tr M⁴ and the FFT branch of A_n run with every scipy import refused
-by a ``sys.meta_path`` finder.  scipy (0.4 s and 25 MB to import) loads only
-where one of its functions is called: ``scipy.linalg`` for the Cholesky
-factor of a non-diagonal covariance (n <= 512 at H != 1/2), and no
-``scipy.special`` module at all.
+The last two tests run all seven subcommands, and the exact half, each in a
+fresh interpreter with every scipy import refused by a ``sys.meta_path`` finder:
+both samplers (white noise and circulant), ``berry-esseen`` at any H (Phi is
+a numpy port of ``ndtr``), the Brownian example, the exact tables, the ρ^q
+series, the blocked tr M⁴ and the FFT branch of A_n.  scipy is a test
+dependency only: some tests compare against its functions.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path for folder in ("src", "tests", "demos") for path in (ROOT / folder).rglob("*.py")
 )
-MAX_KNOBS = 40
+MAX_KNOBS = 35
 
 
 def _bound_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -168,21 +165,20 @@ class RefuseScipy:
             raise ModuleNotFoundError(f"scipy is refused in this probe: {name}")
         return None
 
-mode, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-if mode == "refuse":
-    sys.meta_path.insert(0, RefuseScipy)
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+sys.meta_path.insert(0, RefuseScipy)
 for argv in runs:
     assert main([*argv, "--out", out]) in (0, 1), argv
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_modules_after(tmp_path, mode: str, runs: list[list[str]]) -> list[str]:
-    """The scipy modules loaded after ``runs`` of the CLI in a fresh interpreter,
-    with every scipy import refused when ``mode`` is "refuse"."""
+def _scipy_modules_after(tmp_path, runs: list[list[str]]) -> list[str]:
+    """The scipy modules loaded after ``runs`` of the CLI in a fresh interpreter
+    in which every scipy import is refused."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, mode, str(tmp_path), json.dumps(runs)],
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
@@ -201,18 +197,14 @@ def test_numpy_only_subcommands_never_load_scipy(tmp_path):
         ["identities", "--config", str(config)],
         ["constants"],
         ["fbm", "--n", "1024", "--m", "4"],
-        # at H = 1/2 the Cholesky factor is diagonal, and Phi is the ndtr port
+        ["fbm", "--H", "0.3", "--n", "16", "--m", "5"],
+        # white noise at H = 1/2 and circulant elsewhere; Phi is the ndtr port
         ["berry-esseen", "--H", "0.5", "--n", "16,600", "--m", "64"],
+        ["berry-esseen", "--H", "0.4", "--n", "16", "--m", "64"],
         ["fbm", "--H", "0.5", "--n", "64", "--m", "4"],
         ["variation", "--H", "0.5", "--n", "64", "--m", "8"],
     ]
-    assert _scipy_modules_after(tmp_path, "refuse", runs) == []
-
-
-def test_berry_esseen_off_h_half_loads_scipy_linalg_alone(tmp_path):
-    loaded = _scipy_modules_after(tmp_path, "allow", [["berry-esseen", "--H", "0.4", "--n", "16", "--m", "64"]])
-    assert "scipy.linalg" in loaded  # the Cholesky factor of a non-diagonal covariance
-    assert not [name for name in loaded if name.startswith("scipy.special")]
+    assert _scipy_modules_after(tmp_path, runs) == []
 
 
 _EXACT_HALF_PROBE = """

@@ -120,17 +120,6 @@ def test_map_slabs_propagates_consumer_errors(monkeypatch):
         map_slabs(1, 4, 2048, consume)
 
 
-@pytest.mark.parametrize("max_threads", [0, -1])
-def test_map_slabs_rejects_a_thread_cap_below_one(max_threads):
-    # a cap of 0 must not read as no cap (`max_threads or blocks` in map_slabs)
-    delivered = []
-    with pytest.raises(ValueError, match="max_threads"):
-        map_slabs(1, 4, 2048, lambda start, slab: delivered.append(start), max_threads)
-    with pytest.raises(ValueError, match="max_threads"):
-        map_slabs(1, 4, 0, lambda start, slab: delivered.append(start), max_threads)
-    assert delivered == []
-
-
 def test_map_slabs_pool_is_capped_by_block_count(monkeypatch):
     monkeypatch.setenv("CHAOSLAB_THREADS", "16")
     pools = []
