@@ -396,7 +396,12 @@ PLAN_HURST = {"cholesky-diagonal": 0.5, "circulant": 0.3}
     ("H", "n", "plan"),
     [(0.5, n, "fgn-cholesky") for n in (1, 16, 512, 513, 4096)]
     + [(0.3, 1, "fgn-cholesky")]
-    + [(H, n, "fgn-circulant") for H in (0.05, 0.3, 0.49, 0.51, 0.7, 0.95) for n in (2, 16, 512, 513, 4096)],
+    + [
+        (H, n, "fgn-circulant")
+        # the floats next to 1/2 too: the plan tests rho at lag 1 alone
+        for H in (0.05, 0.3, 0.49, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.51, 0.7, 0.95)
+        for n in (2, 16, 512, 513, 4096)
+    ],
 )
 def test_white_noise_plan_exactly_where_rho_vanishes_off_lag_zero(H, n, plan):
     vanishes = not np.asarray(rho(H, np.arange(n)))[1:].any()
