@@ -19,8 +19,8 @@ effective configuration; timestamps and runtimes are confined to ``meta``
 blocks so repeated runs with the same config and seed are byte-identical
 outside ``meta``.
 
-Exit codes: 0 all executed suites pass, 1 suite failure, 2 invalid config
-(including a config-file value of the wrong JSON type, or a value out of range).
+Exit codes: 0 all suites pass, 1 suite failure, 2 invalid config (a value out of
+range or of the wrong JSON type), 3 numerical failure (an ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ def _run_constants(config: dict[str, Any]):
         sig = sigma_hq(H, q)
         constants["sigma"] = sig.sigma
         constants["sigma_sq"] = sig.sigma_sq
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         constants["sigma"] = None
         constants["sigma_sq"] = None
         constants["sigma_note"] = str(exc)
@@ -401,9 +401,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _effective_config(args)
         reports, csv_data, extra_payload = _HANDLERS[args.command](config)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ArithmeticError) else 2
 
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -45,6 +45,7 @@ from .rng import normal_rows  # noqa: F401  (bound here for perfbench's tracer t
 __all__ = [
     "FbmGrid",
     "FbmPathBatch",
+    "SeriesTruncationError",
     "abs_rho_power_sum",
     "alpha_diag",
     "bounds_suite",
@@ -187,6 +188,10 @@ def _pairwise_fold(lo: int, hi: int, sums: dict[tuple[int, int], float]) -> floa
     return _pairwise_fold(lo, mid, sums) + _pairwise_fold(mid, hi, sums)
 
 
+class SeriesTruncationError(ArithmeticError):
+    """A lag series that cannot reach its tolerance within the lags it may sum."""
+
+
 def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
     """1 + 2 sum_{r=1}^{R} rho_H(r)^q (or |rho_H(r)|^q), R from the tail bound.
 
@@ -214,7 +219,7 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
     while const * R ** (decay + 1.0) / (-(decay + 1.0)) > tol:
         R *= 2
         if R > 1 << 31:
-            raise ValueError(
+            raise SeriesTruncationError(
                 f"sum of rho^q at q = {q}, H = {H}: tolerance {tol} needs more than "
                 f"{1 << 31} lag terms this close to the bound H < 1 - 1/(2q) = "
                 f"{1 - 1 / (2 * q)}; pass a larger tol to sigma_hq, signed_rho_power_sum "

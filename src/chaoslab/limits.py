@@ -12,8 +12,9 @@ shift at the lower critical point.  This module provides:
   ``CF_LAMBDAS`` over a fixed family of functionals Z of the conditional
   variance; the worst cell is compared with ``CF_THRESHOLD``),
 - exact second/fourth moments of the unweighted second-chaos variation from
-  Toeplitz trace identities, the associated Berry–Esseen-type bound, and a
-  Monte Carlo check that the observed CDF distance respects it,
+  Toeplitz trace identities (tr M^4 by one compensated recursion along the
+  diagonals of M^2), the associated Berry–Esseen-type bound, and a Monte
+  Carlo check that the observed CDF distance respects it,
 - the classical Brownian example F_n = sqrt(n) int t^n W_t dW_t, whose limit
   (1/sqrt(2)) W_1 N exercises the whole stable-convergence pipeline at H=1/2;
   like the experiments it returns ``(TestReport, arrays)``.
@@ -33,23 +34,14 @@ from __future__ import annotations
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fbm import (
-    FbmGrid,
-    FbmPathBatch,
-    _pairwise_fold,
-    _pairwise_leaves,
-    map_paths,
-    rho,
-    toeplitz_rows,
-)
+from .fbm import FbmGrid, FbmPathBatch, map_paths, rho
 from .report import TestReport
-from .rng import derive_seed, map_slabs, normal_rows, slab_rows, worker_count
+from .rng import derive_seed, map_slabs, normal_rows, slab_rows
 from .weights import WeightFunction
 
 __all__ = [
@@ -66,9 +58,7 @@ __all__ = [
     "sample_mixture_limit",
 ]
 
-CHAOS2_DENSE_MAX_N = 4096
 CHAOS2_MAX_N = 1 << 16
-CHAOS2_BLOCK = 256  # rows of M per FFT block beyond CHAOS2_DENSE_MAX_N
 KS_ALPHA = 0.01
 KOLMOGOROV_TERMS = 100  # terms of the asymptotic Kolmogorov tail series
 CF_LAMBDAS = (0.5, 1.0, 2.0)
@@ -253,29 +243,84 @@ class Chaos2Moments(NamedTuple):
     normalized_m4: float
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a and Dekker's split a = hi + lo into 26-bit halves, whose products are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return a, hi, a - hi
+
+
+def _two_product(u, w, p: np.ndarray, e: np.ndarray, work: np.ndarray) -> None:
+    """p = fl(u w) and e = u w - p exactly (TwoProduct), u and w from ``_split``."""
+    np.multiply(u[0], w[0], out=p)
+    np.subtract(np.multiply(u[1], w[1], out=e), p, out=e)
+    for a, b in ((u[1], w[2]), (u[2], w[1]), (u[2], w[2])):
+        e += np.multiply(a, b, out=work)
+
+
+def _two_sum_error(a, b, s, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(a + b) - s exactly for s = fl(a + b) (TwoSum), written to ``out``."""
+    np.subtract(s, a, out=work)
+    np.subtract(a, np.subtract(s, work, out=out), out=out)
+    return np.add(out, np.subtract(b, work, out=work), out=out)
+
+
+def _trace_m4(r: np.ndarray) -> float:
+    """tr(M^4) = ||M^2||_F^2 for the symmetric Toeplitz M with first row r.
+
+    M^2 is symmetric and centrosymmetric, so the first halves of its diagonals
+    d >= 0 suffice.  Row 0 is a ``numpy.fft`` Toeplitz product, and down a
+    diagonal (M^2)[a+1, b+1] - (M^2)[a, b] = r(a+1) r(b+1) - r(n-1-a) r(n-1-b).
+    Each increment is an exact sum of two floats (TwoProduct, TwoSum), TwoSum
+    recovers the cumulative sum's rounding errors, and Sum2 adds the squares
+    in blocks of ``rng.slab_rows`` diagonals, whose partials ``math.fsum``
+    adds: a few ulps from the exact trace at any block height.
+    """
+    n = len(r)
+    length = 1 << (2 * n - 2).bit_length()  # a power of two >= 2n - 1
+    embedding = np.concatenate([r, np.zeros(length - 2 * n + 1), r[:0:-1]])
+    first = np.fft.irfft(np.fft.rfft(embedding) * np.fft.rfft(r, length), length)[:n]
+    ahead = _split(np.concatenate([r, np.zeros(n)]))  # r(k), 0 past the end
+    behind = _split(np.concatenate([[0.0], r[::-1], np.zeros(n)]))  # r(n - k)
+    starts = [0]  # blocks of rng.slab_rows diagonals of the block's longest half
+    while starts[-1] < n:
+        starts.append(min(starts[-1] + slab_rows((n - starts[-1] + 1) // 2), n))
+    blocks = list(zip(starts, starts[1:]))
+    buffers = np.empty((6, max((d1 - d0) * ((n - d0 + 1) // 2) for d0, d1 in blocks)))
+
+    def block_sums(d0: int, d1: int) -> list[float]:
+        width = (n - d0 + 1) // 2  # first half of diagonal d0, the longest here
+        window = lambda v: np.lib.stride_tricks.sliding_window_view(v, width)[d0:d1]
+        p, q, e, comp, out, work = (b[: (d1 - d0) * width].reshape(-1, width) for b in buffers)
+        # column u: the increment from entry u - 1 to entry u of its diagonal, as s + comp
+        _two_product([v[:width] for v in ahead], [window(v) for v in ahead], p, comp, work)
+        _two_product([v[:width] for v in behind], [window(v) for v in behind], q, e, work)
+        comp -= e
+        s = np.add(p, np.negative(q, out=q), out=e)
+        comp += _two_sum_error(p, q, s, out, work)
+        s[:, 0], comp[:, 0] = first[d0:d1], 0.0
+        x = np.cumsum(s, axis=1, out=p)
+        comp[:, 1:] += _two_sum_error(x[:, :-1], s[:, 1:], x[:, 1:], out[:, 1:], work[:, 1:])
+        x += np.cumsum(comp, axis=1, out=comp)
+        np.square(x, out=x)
+        # a quarter of each count: 1 in a first half, 1/2 at a middle, 0 past it; halved on d = 0
+        d = np.arange(d0, d1)[:, None]
+        x *= np.clip(n - d - 2 * np.arange(width), 0, 2) * np.where(d > 0, 0.5, 0.25)
+        x, sums = x.reshape(-1), np.cumsum(x, out=q.reshape(-1))
+        errors = _two_sum_error(sums[:-1], x[1:], sums[1:], out.reshape(-1)[1:], work.reshape(-1)[1:])
+        return [float(sums[-1]), float(np.sum(errors))]
+
+    return 4.0 * math.fsum(v for d0, d1 in blocks for v in block_sums(d0, d1))
+
+
 def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     """Exact moments of G = n^{-1/2} sum_k He_2(n^H dB_k) from Toeplitz traces.
 
     With M the n x n matrix rho_H(k - j):  E[G^2] = 2 tr(M^2)/n and
     E[G^4] = (12 tr(M^2)^2 + 48 tr(M^4))/n^2, so the kurtosis of the
     variance-normalized statistic is normalized_m4 = 3 + 12 tr(M^4)/tr(M^2)^2.
-    tr(M^2) is a lag sum; tr(M^4) = ||M^2||_F^2 is computed by GEMM for
-    n <= 4096, one leaf of ``np.sum``'s pairwise tree over M^2's n*n entries
-    at a time (``fbm._pairwise_leaves`` of ``CHAOS2_BLOCK * n`` entries):
-    the rows a leaf touches are multiplied by M in tiles of
-    2 * ``CHAOS2_BLOCK`` columns, the leaf's entries are squared and summed,
-    and the leaf sums are added along that tree (``fbm._pairwise_fold``).
-    That is the bits of one ``np.sum`` over the squared n x n product M @ M,
-    without building it; at n <= 256 it is one leaf and one GEMM.  M = I at
-    H = 1/2, and tr(M^4) = n is set without a GEMM (the GEMM's bits).  Beyond
-    n = 4096 it comes from blocked Toeplitz multiplication: ``CHAOS2_BLOCK``
-    rows of M at a time, each a window of one mirrored lag vector, are
-    multiplied by M with row-wise ``numpy.fft`` transforms against one
-    embedding spectrum, in tasks of ``rng.slab_rows(2n-1)`` rows on
-    ``rng.worker_count()`` threads.  Each block's (n, block) product
-    M @ columns is squared in place and summed in C order, and the blocks
-    in order.  Neither route holds an array of more than
-    2 * ``CHAOS2_BLOCK`` * n entries.
+    tr(M^2) is a lag sum; tr(M^4) is ``_trace_m4``'s compensated recursion
+    along the diagonals of M^2 at every H and n, in O(n^2) time, without BLAS.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -284,57 +329,8 @@ def chaos2_fourth_moment_exact(H: float, n: int) -> Chaos2Moments:
     lags = np.arange(n)
     r = np.asarray(rho(H, lags), dtype=float)
     weights = np.concatenate([[float(n)], 2.0 * (n - lags[1:])])
-    tr_m2 = float(weights @ (r**2))
-
-    windows = toeplitz_rows(r)  # row i of M, a window of the mirrored lags
-    if n <= CHAOS2_DENSE_MAX_N and not r[1:].any():
-        tr_m4 = float(n)  # M = I (rho(0) = 1): the GEMM's squared entries sum to n exactly
-    elif n <= CHAOS2_DENSE_MAX_N:
-        # M^2's n*n entries one leaf of np.sum's pairwise tree at a time.  A
-        # leaf of at most CHAOS2_BLOCK * n entries spans at most
-        # CHAOS2_BLOCK + 1 rows; a row split by a leaf edge is computed twice.
-        left = np.empty((min(n, CHAOS2_BLOCK + 1), n))
-        product = np.empty_like(left)
-        # at n <= CHAOS2_BLOCK the one leaf and the one tile are both all of M
-        tile = left if n <= CHAOS2_BLOCK else np.empty((n, min(n, 2 * CHAOS2_BLOCK)))
-
-        def leaf_sum(a: int, b: int) -> float:
-            r0, r1 = a // n, -(-b // n)
-            np.copyto(left[: r1 - r0], windows[r0:r1])
-            for c0 in range(0, n, 2 * CHAOS2_BLOCK):
-                c1 = min(c0 + 2 * CHAOS2_BLOCK, n)
-                np.copyto(tile[:, : c1 - c0], windows[:, c0:c1])
-                np.matmul(left[: r1 - r0], tile[:, : c1 - c0], out=product[: r1 - r0, c0:c1])
-            entries = product.reshape(-1)[a - r0 * n : b - r0 * n]
-            np.square(entries, out=entries)
-            return float(np.sum(entries))
-
-        leaves = _pairwise_leaves(0, n * n, CHAOS2_BLOCK * n)
-        tr_m4 = _pairwise_fold(0, n * n, {leaf: leaf_sum(*leaf) for leaf in leaves})
-    else:
-        # M is symmetric, so rows lo..hi-1 are its columns lo..hi-1, and
-        # M @ columns is a circulant product of length 2n-1 taken along each row
-        length = 2 * n - 1
-        spectrum = np.fft.rfft(np.concatenate([r, r[:0:-1]]))
-        task_rows = slab_rows(length)
-        buffer = np.empty(n * CHAOS2_BLOCK)
-        tr_m4 = 0.0
-
-        def multiply(rows: np.ndarray, columns: np.ndarray) -> None:
-            f = np.fft.rfft(rows, n=length, axis=1)
-            np.multiply(spectrum, f, out=f)
-            columns[...] = np.fft.irfft(f, n=length, axis=1)[:, :n].T
-
-        with ThreadPoolExecutor(worker_count()) as pool:
-            for lo in range(0, n, CHAOS2_BLOCK):
-                width = min(CHAOS2_BLOCK, n - lo)
-                product = buffer[: n * width].reshape(n, width)  # M @ columns, C order
-                starts = range(0, width, task_rows)
-                rows = [windows[lo + i : lo + i + task_rows] for i in starts]
-                list(pool.map(multiply, rows, [product[:, i : i + task_rows] for i in starts]))
-                np.square(product, out=product)
-                tr_m4 += float(np.sum(product))
-
+    tr_m2 = float(weights @ (r**2))  # a BLAS ddot, whose bits the recorded moments hold
+    tr_m4 = _trace_m4(r)
     variance = 2.0 * tr_m2 / n
     fourth = (12.0 * tr_m2**2 + 48.0 * tr_m4) / n**2
     normalized = 3.0 + 12.0 * tr_m4 / tr_m2**2
@@ -414,10 +410,8 @@ def berry_esseen_check(H: float, n: int, m: int, seed: int) -> TestReport:
     right side is exact (Toeplitz traces), the left side is estimated from m
     Monte Carlo replicas, and the verdict allows 3 x the DKW-scale MC error
     0.5/sqrt(m).  Phi is ``_normal_cdf``, a numpy port of Cephes ``ndtr``,
-    so the check runs on numpy alone.  At H = 1/2 it makes no BLAS call
-    beyond tr(M^2)'s length-n dot product (tr(M^4) = n needs no GEMM, and
-    the white-noise sampler scales elementwise), so no BLAS thread competes
-    with the sampling pool.
+    so the check runs on numpy alone, and its one BLAS call is tr(M^2)'s
+    length-n dot product, so no BLAS thread competes with the sampling pool.
     """
     if not 0.0 < H < 0.75:
         raise ValueError("the fourth-moment bound needs H in (0, 3/4)")

@@ -178,13 +178,6 @@ def test_malformed_config_file_is_rejected(tmp_path, capsys):
         (["example-brownian", "--n", "1", "--m", "1"], "got m = 1"),
         # the exact fourth moment runs first, so nothing is sampled
         (["berry-esseen", "--H", "0.5", "--n", "70000"], "n = 70000 exceeds CHAOS2_MAX_N = 65536"),
-        # sigma_hq's tail bound cannot reach tol = 1e-10 this close to H < 3/4; the CLI
-        # has no tol, so the message names the functions that take one
-        (
-            ["limit-test", "--q", "2", "--H", "0.6"],
-            "q = 2, H = 0.6: tolerance 1e-10 needs more than 2147483648 lag terms this close "
-            "to the bound H < 1 - 1/(2q) = 0.75; pass a larger tol to sigma_hq",
-        ),
     ],
 )
 def test_invalid_configurations_exit_2(tmp_path, capsys, argv, fragment):
@@ -194,6 +187,21 @@ def test_invalid_configurations_exit_2(tmp_path, capsys, argv, fragment):
     assert err.startswith("error:")
     assert fragment in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_a_numerical_failure_on_a_valid_configuration_exits_3(tmp_path, capsys):
+    # sigma_hq's tail bound cannot reach tol = 1e-10 this close to H < 3/4, though
+    # H = 0.6 is central; the CLI has no tol, so the message names the functions that take one
+    assert main(["limit-test", "--q", "2", "--H", "0.6", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: sum of rho^q at q = 2, H = 0.6: tolerance 1e-10 needs more than 2147483648 lag "
+        "terms this close to the bound H < 1 - 1/(2q) = 0.75; pass a larger tol to sigma_hq"
+    )
+    assert not (tmp_path / "report.json").exists()
+    # the constants table reports the same failure as a note and still exits 0
+    assert main(["constants", "--q", "2", "--H", "0.6", "--out", str(tmp_path)]) == 0
+    constants = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["constants"]
+    assert constants["sigma"] is None and "2147483648 lag terms" in constants["sigma_note"]
 
 
 def test_the_parser_and_the_version_are_built_once_per_process(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ The last two tests run all seven subcommands, and the exact half, each in a
 fresh interpreter with every scipy import refused by a ``sys.meta_path`` finder:
 both samplers (white noise and circulant), ``berry-esseen`` at any H (Phi is
 a numpy port of ``ndtr``), the Brownian example, the exact tables, the ρ^q
-series, the blocked tr M⁴ and the FFT branch of A_n.  scipy is a test
+series, tr M⁴'s diagonal recursion and the FFT branch of A_n.  scipy is a test
 dependency only: some tests compare against its functions.
 """
 
@@ -219,7 +219,7 @@ run_identity_suite(seed=0, instances=12)
 bounds_suite(0)
 sigma_hq(0.47, 2)
 sigma_hq(0.7, 4)
-chaos2_fourth_moment_exact(0.3, 4160)  # the blocked branch
+chaos2_fourth_moment_exact(0.3, 4160)  # tr M^4's FFT first row and recursion
 n = 1024  # circulant, and at H = 0.45 every lag is in the band: the FFT branch
 assert n - 1 > A_N_DIRECT_MAX_LAGS
 a_n_statistic(sample_paths(FbmGrid(0.45, n), 4, seed=0), 2, WeightFunction.cosine(1.0, 1.0))

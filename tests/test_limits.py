@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chaoslab.limits
-from chaoslab.fbm import rho, toeplitz_rows
+from chaoslab.fbm import rho
 from chaoslab.limits import (
     MixtureSpec,
     berry_esseen_check,
@@ -286,25 +287,35 @@ def test_chaos2_against_wick_oracle():
         )
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 64])
+def test_chaos2_trace_m4_is_the_exact_trace_of_m(n):
+    # tr(M^4) of the float matrix M in integers: r(k) * scale is one for every k
+    for H in (0.05, 0.3, 0.62, 0.7):
+        r = np.asarray(rho(H, np.arange(n)), dtype=float)
+        scale = max(Fraction(v).denominator for v in r)  # a power of two
+        R = [int(Fraction(v) * scale) for v in r]
+        m2 = [[sum(R[abs(i - k)] * R[abs(k - j)] for k in range(n)) for j in range(n)] for i in range(n)]
+        exact = Fraction(sum(v * v for row in m2 for v in row), scale**4)
+        assert abs(Fraction(chaoslab.limits._trace_m4(r)) - exact) <= Fraction(1e-15) * exact, H
+
+
 def test_chaos2_dense_blocked_agree(monkeypatch):
-    # the dense and blocked-Toeplitz trace routes must agree at the same n
-    import chaoslab.limits as limits_module
-
-    n = 512
-    dense = chaos2_fourth_moment_exact(0.3, n)
-    monkeypatch.setattr(limits_module, "CHAOS2_DENSE_MAX_N", n - 1)
-    blocked = chaos2_fourth_moment_exact(0.3, n)
-    assert blocked.normalized_m4 == pytest.approx(dense.normalized_m4, rel=1e-10)
-    assert blocked.variance == pytest.approx(dense.variance, rel=1e-12)
+    # one block of every diagonal and blocks of three diagonals give the same bits
+    for H, n in ((0.05, 515), (0.3, 512), (0.7, 301)):
+        monkeypatch.setattr(chaoslab.limits, "slab_rows", lambda width: n)
+        dense = [v.hex() for v in chaos2_fourth_moment_exact(H, n)]
+        monkeypatch.setattr(chaoslab.limits, "slab_rows", lambda width: 3)
+        assert [v.hex() for v in chaos2_fourth_moment_exact(H, n)] == dense, (H, n)
 
 
-# float reprs of (variance, fourth_moment, normalized_m4), recorded while the
-# blocked route built each column by indexing and multiplied with
-# scipy.linalg.matmul_toeplitz; n = 2048 is dense, 4097 and 4160 are blocked
+# float reprs of (variance, fourth_moment, normalized_m4), recorded from the
+# GEMM and blocked-FFT routes that the recursion replaced
 CHAOS2_PINS = {
     (0.3, 2048): ("2.2502499462069827", "15.23032463413277", "3.0077908957156967"),
     (0.3, 4097): ("2.2503204863543353", "15.211549013790663", "3.003894621766619"),
     (0.62, 4160): ("2.265188394157056", "15.433062819255747", "3.0077620010075488"),
+    # an uncompensated recursion is 12 ulps off in tr(M^4) here, which moves normalized_m4
+    (0.218356, 2048): ("2.4301596671878065", "17.769310594808974", "3.008852935829677"),
 }
 
 
@@ -322,8 +333,7 @@ BERRY_ESSEEN_CHAOS2_PINS = {
     (0.5, 256): ("2.0", "12.1875", "3.046875"),
 }
 
-# repr of chaos2_fourth_moment_exact(0.5, n), recorded while every dense n
-# still ran the GEMM; M = I, so tr(M^4) = n needs none
+# repr of chaos2_fourth_moment_exact(0.5, n), recorded from the GEMM route
 CHAOS2_H_HALF_PINS = {
     1: ("2.0", "60.0", "15.0"),
     2: ("2.0", "36.0", "9.0"),
@@ -343,10 +353,12 @@ def test_chaos2_h_half_dense_bits_need_no_gemm(monkeypatch):
         raise AssertionError("GEMM called")
 
     monkeypatch.setattr(np, "matmul", no_gemm)
-    for n, pinned in CHAOS2_H_HALF_PINS.items():
-        assert tuple(repr(v) for v in chaos2_fourth_moment_exact(0.5, n)) == pinned, n
-    with pytest.raises(AssertionError, match="GEMM called"):
-        chaos2_fourth_moment_exact(0.3, 64)  # off H = 1/2 the GEMM still runs
+    monkeypatch.setattr(np, "dot", no_gemm)
+    pins = {**CHAOS2_PINS, **{(0.5, n): pinned for n, pinned in CHAOS2_H_HALF_PINS.items()}}
+    for (H, n), pinned in pins.items():
+        assert tuple(repr(v) for v in chaos2_fourth_moment_exact(H, n)) == pinned, (H, n)
+    for H in (0.05, 0.3, 0.5, 0.62, 0.7):
+        assert chaos2_fourth_moment_exact(H, 1000).normalized_m4 > 3.0
 
 
 _CHAOS2_PROBE = """
@@ -376,6 +388,7 @@ def _last_line_at_blas_threads(blas_threads: str, probe: str, *argv: str) -> str
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_chaos2_bits_pinned_at_any_blas_thread_count(blas_threads):
+    # tr(M^2) is still a BLAS dot product
     pins = {**CHAOS2_PINS, **BERRY_ESSEEN_CHAOS2_PINS}
     got = json.loads(_last_line_at_blas_threads(blas_threads, _CHAOS2_PROBE, json.dumps(list(pins))))
     assert {point: tuple(moments) for point, moments in zip(pins, got)} == pins
@@ -390,40 +403,17 @@ def test_berry_esseen_bits_at_h_half_follow_no_blas_thread_count():
     assert _last_line_at_blas_threads("1", probe) == _last_line_at_blas_threads("2", probe)
 
 
-@pytest.mark.parametrize("n", [64, 257, 1000, 2048, 3001])
-def test_chaos2_tiled_trace_is_the_one_shot_gemm_bit_for_bit(monkeypatch, n):
-    # one leaf at n = 64; 4 and 8 row-aligned leaves at 1000 and 2048; 2 and 16
-    # leaves that split rows at 257 and 3001.  The traces are compared as the
-    # fold returns them, before any moment is formed from them.
-    real_fold = chaoslab.limits._pairwise_fold
-    traces = []
-
-    def fold(lo, hi, sums):
-        traces.append(real_fold(lo, hi, sums))
-        return traces[-1]
-
-    monkeypatch.setattr(chaoslab.limits, "_pairwise_fold", fold)
-    for H in (0.05, 0.3, 0.62):
-        chaos2_fourth_moment_exact(H, n)
-        dense = toeplitz_rows(np.asarray(rho(H, np.arange(n)), dtype=float)).copy()
-        square = dense @ dense
-        np.square(square, out=square)
-        assert traces.pop().hex() == float(np.sum(square)).hex(), (H, n)
-
-
-@pytest.mark.parametrize("n, limit", [(2048, 18 * 2**20), (4096, 36 * 2**20), (4160, 18 * 2**20)])
-def test_chaos2_peak_memory(n, limit):
-    # dense: a leaf's rows of M and of M^2 (CHAOS2_BLOCK + 1 rows each) and one
-    # tile of 2 * CHAOS2_BLOCK columns of M, 16 MiB at n = 2048 and 32 MiB at 4096;
-    # blocked: one (n, CHAOS2_BLOCK) product (8.1 MiB at n = 4160) and a few
-    # FFT tasks.  Neither builds an n x n array (32 MiB at 2048, 128 MiB at 4096).
+@pytest.mark.parametrize("n", [2048, 4096, 4160])
+def test_chaos2_peak_memory(n):
+    # six arrays of one block of diagonals, each at most rng.SLAB_BYTES, and
+    # O(n) vectors; no n x n array (32 MiB at 2048, 128 MiB at 4096)
     tracemalloc.start()
     try:
         chaos2_fourth_moment_exact(0.3, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= limit
+    assert peak <= 12 * 2**20
 
 
 def test_chaos2_normalized_m4_decreases_toward_gaussian():
