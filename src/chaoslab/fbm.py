@@ -249,17 +249,6 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
     return 1.0 + 2.0 * total
 
 
-def toeplitz_rows(first_row: np.ndarray) -> np.ndarray:
-    """The symmetric Toeplitz matrix T[i, j] = first_row[|i - j|], as a read-only view.
-
-    Row i is the window mirrored[n-1-i : 2n-1-i] of the mirrored lag vector
-    first_row[n-1], ..., first_row[1], first_row[0], ..., first_row[n-1], so
-    no n x n array is built; ``.copy()`` gives the C-ordered dense matrix.
-    """
-    mirrored = np.concatenate([first_row[:0:-1], first_row])
-    return np.lib.stride_tricks.sliding_window_view(mirrored, len(first_row))[::-1]
-
-
 # ---------------------------------------------------------------------------
 # grids and path batches
 # ---------------------------------------------------------------------------
@@ -281,7 +270,8 @@ class FbmGrid:
     def increment_covariance(self) -> np.ndarray:
         """Dense n x n covariance of the increments (Toeplitz in the lag)."""
         first_row = self.n ** (-2.0 * self.hurst) * np.asarray(rho(self.hurst, np.arange(self.n)))
-        return toeplitz_rows(first_row).copy()
+        k = np.arange(self.n)
+        return first_row[np.abs(k[:, None] - k[None, :])]
 
 
 @dataclass(frozen=True)
@@ -331,8 +321,9 @@ def embedding_spectrum(grid: FbmGrid) -> np.ndarray:
     0..n-1, n, n-1..1 (the even reflection), so its eigenvalues are the real
     FFT values of that row.  The row is even, so its spectrum is real and even:
     the real-input FFT gives lambda_0..lambda_n, mirrored back to length 2n
-    (the bits of the real part of the full complex FFT).  Returned unclipped
-    for diagnostics.
+    (the bits of a full FFT that takes the row as real input; numpy's complex
+    ``fft`` of it can differ in the last bit).  Returned unclipped for
+    diagnostics.
     """
     n = grid.n
     cov = grid.n ** (-2.0 * grid.hurst) * np.asarray(rho(grid.hurst, np.arange(n + 1)))

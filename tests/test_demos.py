@@ -1,8 +1,5 @@
 """Every demo script runs to completion against the package sources."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -23,15 +20,5 @@ def test_every_demo_is_listed():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
-def test_demo_runs(demo, tmp_path):
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(demo), *QUICK_FLAGS.get(demo.name, [])],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip()
+def test_demo_runs(demo, tmp_path, run_python):
+    assert run_python(str(demo), *QUICK_FLAGS.get(demo.name, []), cwd=tmp_path).strip()

@@ -2,17 +2,12 @@
 
 import hashlib
 import math
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
-import scipy.linalg
 
 import chaoslab.fbm
 import chaoslab.rng
@@ -236,6 +231,13 @@ def test_increment_covariance_matrix():
     for k in range(6):
         for j in range(6):
             assert cov[k, j] == pytest.approx(_increment_cov(0.3, 6, k, j), abs=1e-14)
+    # cov[i, j] is exactly first_row[|i - j|], down every diagonal
+    for H, n in ((0.3, 1), (0.3, 2), (0.7, 5), (0.05, 64), (0.3, 777)):
+        first_row = n ** (-2.0 * H) * np.asarray(rho(H, np.arange(n)))
+        cov = FbmGrid(H, n).increment_covariance()
+        assert cov.shape == (n, n) and cov.flags.c_contiguous and cov.flags.writeable
+        for d in range(1 - n, n):
+            assert (np.diagonal(cov, d) == first_row[abs(d)]).all(), (H, n, d)
 
 
 def test_embedding_spectrum_h_half_is_flat():
@@ -250,68 +252,57 @@ def test_embedding_spectrum_trace_identity():
         assert spectrum.sum() == pytest.approx(2.0 * n ** (1.0 - 2.0 * H), rel=1e-10)
 
 
-# -- numpy.fft and the sliding-window Toeplitz give scipy's bits -----------------
+# -- the circulant plan keeps the bits it had on scipy.fft ----------------------
+# Each pin was recorded while the spectrum equalled, bit for bit, the real part
+# of scipy.fft.fft of the embedding row, and the transform the same transform
+# with scipy.fft.ifft(..., workers=1, overwrite_x=True) in place of numpy's.
+
+# sha256 of embedding_spectrum(FbmGrid(H, n)) over H = 0.05, 0.3, 0.5, 0.8, 0.99
+EMBEDDING_SPECTRUM_PINS = {
+    1: "bf9fc499d24097ab0657e7d14054e3f7f084a7808a66fd02d88cecc6c27377a5",
+    2: "da37b048a7b73820cce4d96b5fd65db350f2b0276d4ad65917a4a2f39cd442b9",
+    7: "91d61e3494dc56935fd85fd91d36d479228690fdc6610388bd72a44e8c9f189c",
+    64: "8f14c1ad6cef67a69a78433bffd0ffd942eb7ca6628c46b9b203b37ff9c6c66b",
+    513: "b5118cb5948571908fe6b3626f7795f038140e5527778a9602fbaa50644b0a21",
+    4096: "e88dbf30d6c5f98bc74ccc5a2c68a37b298feacb1924eb26b93d90a04c691ba7",
+    5000: "66107eda6eacffc61b755d815908967e720dfd6cb5c3df24850f1df20f065124",
+}
+
+# sha256 of the plan's transform of default_rng(n) normals at H = 0.3, then
+# 0.8: two full slabs through the same per-thread buffer, then a 3-row slab
+CIRCULANT_TRANSFORM_PINS = {
+    1: "acd3260590d881ab21ba77cd1ccdb0ca943e49412781e9389740a07fea7c6b6a",
+    3: "610046f79b61f6e3b1dd3b4d09cd6f6bb2d8376951d115c42d5ba07b7419a0e7",
+    1000: "27c563e5a021d7e4b9e0a84b85baff8f526572afef81c10f5984cc888c9fa241",
+    4096: "6bea72ddb4e661fcfbbf28746bcd0959cab3414fb6a82b9a74868c89e2bad3be",
+}
 
 
-def _embedding_row(grid):
-    n = grid.n
-    cov = n ** (-2.0 * grid.hurst) * np.asarray(rho(grid.hurst, np.arange(n + 1)))
-    return np.concatenate([cov[:n], cov[n:], cov[n - 1 : 0 : -1]])
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 4096, 5000])
+@pytest.mark.parametrize("n", sorted(EMBEDDING_SPECTRUM_PINS))
 def test_embedding_spectrum_has_the_bits_of_the_complex_fft(n):
+    digest = hashlib.sha256()
     for H in (0.05, 0.3, 0.5, 0.8, 0.99):
-        grid = FbmGrid(H, n)
-        assert _same_bits(embedding_spectrum(grid), np.real(scipy.fft.fft(_embedding_row(grid)))), H
+        spectrum = embedding_spectrum(FbmGrid(H, n))
+        assert spectrum.shape == (2 * n,) and (spectrum[1:] == spectrum[:0:-1]).all(), H
+        # numpy's complex FFT of the embedding row agrees to rounding, not to the bit
+        cov = n ** (-2.0 * H) * np.asarray(rho(H, np.arange(n + 1)))
+        row = np.concatenate([cov, cov[-2:0:-1]])
+        assert np.abs(spectrum - np.fft.fft(row).real).max() <= 1e-14 * np.abs(row).sum(), H
+        digest.update(spectrum.tobytes())
+    assert digest.hexdigest() == EMBEDDING_SPECTRUM_PINS[n]
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 64, 777])
-def test_toeplitz_rows_copy_is_scipys_toeplitz(n):
-    first_row = np.random.default_rng(n).standard_normal(n)
-    rows = chaoslab.fbm.toeplitz_rows(first_row)
-    assert not rows.flags.writeable
-    dense = rows.copy()
-    assert dense.flags.c_contiguous
-    assert _same_bits(dense, scipy.linalg.toeplitz(first_row))
-    grid = FbmGrid(0.3, n)
-    first_cov = n ** -0.6 * np.asarray(rho(0.3, np.arange(n)))
-    assert _same_bits(grid.increment_covariance(), scipy.linalg.toeplitz(first_cov))
-
-
-def _scipy_circulant_transform(grid, raw):
-    """The circulant transform as it ran on scipy.fft: the spectrum from the
-    full complex FFT, and ``scipy.fft.ifft(..., workers=1, overwrite_x=True)``."""
-    n = grid.n
-    M = 2 * n
-    lam = np.real(scipy.fft.fft(_embedding_row(grid)))
-    weights = np.sqrt(np.clip(lam, 0.0, None) / M)
-    z = np.empty((len(raw), M), dtype=complex)
-    z.real = raw[:, :M]
-    z.imag = raw[:, M:]
-    z *= weights
-    z = scipy.fft.ifft(z, axis=1, workers=1, overwrite_x=True)
-    z *= M
-    pairs = np.empty((len(raw), 2, n))
-    pairs[:, 0] = z.real[:, :n]
-    pairs[:, 1] = z.imag[:, :n]
-    return pairs.reshape(2 * len(raw), n)
-
-
-@pytest.mark.parametrize("n", [1, 3, 1000, 4096])
+@pytest.mark.parametrize("n", sorted(CIRCULANT_TRANSFORM_PINS))
 def test_circulant_transform_has_the_bits_of_the_scipy_transform(n):
     rng_local = np.random.default_rng(n)
+    digest = hashlib.sha256()
     for H in (0.3, 0.8):
-        grid = FbmGrid(H, n)
-        transform = chaoslab.fbm._circulant(grid).transform
-        # two full slabs through the same per-thread buffer, then a short one
+        transform = chaoslab.fbm._circulant(FbmGrid(H, n)).transform
         for height in (chaoslab.rng.slab_rows(4 * n),) * 2 + (3,):
-            raw = rng_local.standard_normal((height, 4 * n))
-            assert _same_bits(transform(raw), _scipy_circulant_transform(grid, raw)), (H, height)
+            out = transform(rng_local.standard_normal((height, 4 * n)))
+            assert out.shape == (2 * height, n), (H, height)
+            digest.update(out.tobytes())
+    assert digest.hexdigest() == CIRCULANT_TRANSFORM_PINS[n]
 
 
 _BLAS_PROBE = """
@@ -329,20 +320,12 @@ print(fbm.hexdigest(), brownian.hexdigest())
 """
 
 
-def test_circulant_and_brownian_bits_do_not_depend_on_the_blas_thread_count():
+def test_circulant_and_brownian_bits_do_not_depend_on_the_blas_thread_count(run_python):
     # no sampled bit passes through a BLAS call: the circulant plan runs FFTs,
     # the white-noise plan of H = 1/2 scales elementwise, and the Brownian
     # example draws its normals directly
-    src = str(Path(chaoslab.fbm.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": pythonpath, "CHAOSLAB_THREADS": "2",
-               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr[-2000:]
-        digests.add(done.stdout.strip())
+    digests = {run_python("-c", _BLAS_PROBE, CHAOSLAB_THREADS="2", OPENBLAS_NUM_THREADS=threads,
+                          OMP_NUM_THREADS=threads).strip() for threads in ("1", "2")}
     assert len(digests) == 1, digests
 
 

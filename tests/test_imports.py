@@ -1,5 +1,5 @@
-"""Static scans of the sources (no unused imports, no new knobs), and a check
-that no subcommand needs scipy.
+"""Static scans of the sources (no unused imports, no new knobs, no scipy), and
+a check that no subcommand needs scipy.
 
 No linter ships with the project, so the first scan is pyflakes' F401 check
 in small: a name an import binds must be read somewhere in its module, be
@@ -12,21 +12,19 @@ its public functions and methods plus the field defaults of its public
 dataclasses and NamedTuples ("public" meaning no leading underscore).  A
 change that adds an option raises ``MAX_KNOBS`` in its own diff.
 
-The last two tests run all seven subcommands, and the exact half, each in a
-fresh interpreter with every scipy import refused by a ``sys.meta_path`` finder:
-both samplers (white noise and circulant), ``berry-esseen`` at any H (Phi is
-a numpy port of ``ndtr``), the Brownian example, the exact tables, the ρ^q
-series, tr M⁴'s diagonal recursion and the FFT branch of A_n.  scipy is a test
-dependency only: some tests compare against its functions.
+scipy is no dependency, not even of the tests: a third scan finds no
+module that imports scipy or asks ``importorskip`` for it.  The last test
+runs all seven subcommands and then the exact half in one fresh interpreter
+with every scipy import refused by a ``sys.meta_path`` finder: both samplers
+(white noise and circulant), ``berry-esseen`` at any H (Phi is a numpy port
+of ``ndtr``), the Brownian example, the exact tables, the ρ^q series, tr M⁴'s
+diagonal recursion and the FFT branch of A_n.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -153,9 +151,32 @@ def test_the_knob_count_covers_functions_methods_and_record_fields():
     assert _knobs(ast.parse(source)) == ["f", "f", "R.y", "R.h", "T.w"]
 
 
+def _scipy_imports(tree: ast.Module) -> list[int]:
+    """The lines that import scipy, or ask ``importorskip`` for it."""
+    def names(node) -> list:
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module]
+        func = getattr(node, "func", None)
+        if getattr(func, "attr", getattr(func, "id", None)) == "importorskip":
+            return [getattr(arg, "value", None) for arg in node.args[:1]]
+        return []
+    return [node.lineno for node in ast.walk(tree)
+            if any(str(name).split(".")[0] == "scipy" for name in names(node))]
+
+
+def test_no_source_imports_scipy():
+    found = {str(path.relative_to(ROOT)): _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    assert not {path: lines for path, lines in found.items() if lines}
+    name = "scipy.special"  # not spelled inside the call, so a grep for the guarded calls stays empty
+    source = f'import scipy.fft\nfrom scipy import linalg\nimportorskip({name!r})\nx = "import scipy"\n'
+    assert _scipy_imports(ast.parse(source)) == [1, 2, 3]
+
+
 _SCIPY_PROBE = """
 import json, sys
-from chaoslab.cli import main
 
 class RefuseScipy:
     # a meta path finder under which every scipy import fails
@@ -165,30 +186,30 @@ class RefuseScipy:
             raise ModuleNotFoundError(f"scipy is refused in this probe: {name}")
         return None
 
-out, runs = sys.argv[1], json.loads(sys.argv[2])
 sys.meta_path.insert(0, RefuseScipy)
+from chaoslab.cli import main
+from chaoslab.fbm import FbmGrid, bounds_suite, sample_paths
+from chaoslab.identities import run_identity_suite
+from chaoslab.limits import chaos2_fourth_moment_exact
+from chaoslab.variations import A_N_DIRECT_MAX_LAGS, a_n_statistic, sigma_hq
+from chaoslab.weights import WeightFunction
+
+out, runs = sys.argv[1], json.loads(sys.argv[2])
 for argv in runs:
     assert main([*argv, "--out", out]) in (0, 1), argv
+run_identity_suite(seed=0, instances=12)
+bounds_suite(0)
+sigma_hq(0.47, 2)
+sigma_hq(0.7, 4)
+chaos2_fourth_moment_exact(0.3, 4160)  # tr M^4's FFT first row and recursion
+n = 1024  # circulant, and at H = 0.45 every lag is in the band: the FFT branch
+assert n - 1 > A_N_DIRECT_MAX_LAGS
+a_n_statistic(sample_paths(FbmGrid(0.45, n), 4, seed=0), 2, WeightFunction.cosine(1.0, 1.0))
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_modules_after(tmp_path, runs: list[list[str]]) -> list[str]:
-    """The scipy modules loaded after ``runs`` of the CLI in a fresh interpreter
-    in which every scipy import is refused."""
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def test_numpy_only_subcommands_never_load_scipy(tmp_path):
+def test_numpy_only_subcommands_never_load_scipy(tmp_path, run_python):
     config = tmp_path / "identities.json"
     config.write_text(json.dumps({"instances": 12}), encoding="utf-8")
     runs = [
@@ -204,37 +225,5 @@ def test_numpy_only_subcommands_never_load_scipy(tmp_path):
         ["fbm", "--H", "0.5", "--n", "64", "--m", "4"],
         ["variation", "--H", "0.5", "--n", "64", "--m", "8"],
     ]
-    assert _scipy_modules_after(tmp_path, runs) == []
-
-
-_EXACT_HALF_PROBE = """
-import json, sys
-from chaoslab.fbm import FbmGrid, bounds_suite, sample_paths
-from chaoslab.identities import run_identity_suite
-from chaoslab.limits import chaos2_fourth_moment_exact
-from chaoslab.variations import A_N_DIRECT_MAX_LAGS, a_n_statistic, sigma_hq
-from chaoslab.weights import WeightFunction
-
-run_identity_suite(seed=0, instances=12)
-bounds_suite(0)
-sigma_hq(0.47, 2)
-sigma_hq(0.7, 4)
-chaos2_fourth_moment_exact(0.3, 4160)  # tr M^4's FFT first row and recursion
-n = 1024  # circulant, and at H = 0.45 every lag is in the band: the FFT branch
-assert n - 1 > A_N_DIRECT_MAX_LAGS
-a_n_statistic(sample_paths(FbmGrid(0.45, n), 4, seed=0), 2, WeightFunction.cosine(1.0, 1.0))
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
-"""
-
-
-def test_the_exact_half_and_the_a_n_fft_never_load_scipy():
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _EXACT_HALF_PROBE],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert json.loads(done.stdout.splitlines()[-1]) == []
+    out = run_python("-c", _SCIPY_PROBE, str(tmp_path), json.dumps(runs))
+    assert json.loads(out.splitlines()[-1]) == []

@@ -3,13 +3,10 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -369,38 +366,24 @@ print(json.dumps([[repr(v) for v in chaos2_fourth_moment_exact(H, n)] for H, n i
 """
 
 
-def _last_line_at_blas_threads(blas_threads: str, probe: str, *argv: str) -> str:
-    """The last line ``probe`` prints in a fresh interpreter, since the BLAS
-    thread count is read once, when the library loads."""
-    src = str(Path(chaoslab.limits.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": blas_threads}
-    done = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    return done.stdout.splitlines()[-1]
-
-
+# each probe runs in a fresh interpreter: the BLAS thread count is read once, when the library loads
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_chaos2_bits_pinned_at_any_blas_thread_count(blas_threads):
+def test_chaos2_bits_pinned_at_any_blas_thread_count(blas_threads, run_python):
     # tr(M^2) is still a BLAS dot product
     pins = {**CHAOS2_PINS, **BERRY_ESSEEN_CHAOS2_PINS}
-    got = json.loads(_last_line_at_blas_threads(blas_threads, _CHAOS2_PROBE, json.dumps(list(pins))))
+    out = run_python("-c", _CHAOS2_PROBE, json.dumps(list(pins)), OPENBLAS_NUM_THREADS=blas_threads)
+    got = json.loads(out.splitlines()[-1])
     assert {point: tuple(moments) for point, moments in zip(pins, got)} == pins
 
 
-def test_berry_esseen_bits_at_h_half_follow_no_blas_thread_count():
+def test_berry_esseen_bits_at_h_half_follow_no_blas_thread_count(run_python):
     # the white-noise sampler scales elementwise, and tr(M^4) = n needs no GEMM
     probe = (
         "from chaoslab.limits import berry_esseen_check\n"
         "print(berry_esseen_check(0.5, 256, 4096, 3).statistic.hex())"
     )
-    assert _last_line_at_blas_threads("1", probe) == _last_line_at_blas_threads("2", probe)
+    outs = {run_python("-c", probe, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
+    assert len(outs) == 1, outs
 
 
 @pytest.mark.parametrize("n", [2048, 4096, 4160])
@@ -450,8 +433,12 @@ def _ulp_neighbours(a: float, k: int = 64) -> np.ndarray:
     return (np.float64(a).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
 
 
+# sha256 of _normal_cdf on the points below, recorded while it equalled
+# scipy.special.ndtr (Cephes) on them bit for bit
+NORMAL_CDF_PIN = "e8c816ced4ea38d0a92d9d57e81831a18fc6d58699db4d34bed87bbf9d6d14e2"
+
+
 def test_normal_cdf_is_scipys_ndtr_bit_for_bit():
-    ndtr = pytest.importorskip("scipy.special").ndtr
     rng = np.random.default_rng(5)
     sqrt1_2 = chaoslab.limits._SQRT1_2
     # |a| sqrt(1/2) = sqrt(1/2), 1 and 8 switch branches; erfc underflows to 0 past MAXLOG
@@ -466,9 +453,28 @@ def test_normal_cdf_is_scipys_ndtr_bit_for_bit():
         [0.0, -0.0, np.inf, -np.inf, np.nan],
     ])
     got = chaoslab.limits._normal_cdf(a)
-    want = ndtr(a)
-    differ = got.view(np.int64) != want.view(np.int64)
-    assert not differ.any(), a[differ][:10]
+    assert got.shape == a.shape and got.dtype == np.float64
+    assert hashlib.sha256(got.tobytes()).hexdigest() == NORMAL_CDF_PIN
+
+
+def test_normal_cdf_is_accurate_against_mpmath():
+    # Cephes's tail error grows like a^2 eps: rel_err / ((1 + a^2) 2^-53) reached
+    # 4.25 on 112k points of [-37.6, 9], next to the a = -sqrt(2) branch edge
+    edges = (1.0, 1.0 / chaoslab.limits._SQRT1_2, 8.0 / chaoslab.limits._SQRT1_2)  # branch switches
+    near = np.concatenate([_ulp_neighbours(edge, 32) for edge in edges])
+    uniform = np.random.default_rng(7).uniform(-38.0, 9.0, 1000)
+    a = np.concatenate([near, -near, np.linspace(-38.0, 9.0, 4701), uniform])
+    got = chaoslab.limits._normal_cdf(a)
+    with mpmath.workdps(40):
+        exact = [mpmath.ncdf(x) for x in a.tolist()]
+        rel_err = np.array([float(abs(p / e - 1)) for p, e in zip(got.tolist(), exact)])
+        normal = np.array([e >= 2.0**-1022 for e in exact])  # Phi(a) is a normal float
+    bound = 8.0 * (1.0 + a * a) * 2.0**-53
+    assert (rel_err[normal] <= bound[normal]).all(), a[normal & (rel_err > bound)][:10]
+    assert (got[~normal] >= 0.0).all()
+    assert (got[a < -math.sqrt(2.0 * chaoslab.limits._MAXLOG) - 1e-9] == 0.0).all()
+    specials = chaoslab.limits._normal_cdf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert specials[:4].tolist() == [0.5, 0.5, 1.0, 0.0] and np.isnan(specials[4])
 
 
 def test_berry_esseen_peak_memory_scales_batches_in_place(monkeypatch):

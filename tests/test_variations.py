@@ -1,5 +1,7 @@
 """Weighted Hermite variations: statistic, correction, regimes, decomposition."""
 
+import bisect
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +13,6 @@ from chaoslab.space import GaussianSpace
 from chaoslab.tensors import SymTensor
 from chaoslab.variations import (
     _fast_len,
-    _weight_values,
     a_n_statistic,
     classify_regime,
     correction_constant,
@@ -417,38 +418,39 @@ def test_a_n_direct_band_matches_fft_route():
         batch = sample_paths(FbmGrid(H, n), 2, seed=29)
         f = WeightFunction.polynomial(0.0, 1.0)
         values = a_n_statistic(batch, 2, f)
-        from chaoslab.fbm import rho as rho_fn
-
         levels = batch.levels_at_increment_start()
         for i in range(2):
             brute = 0.0
             for l in range(n):
                 for j in range(n):
-                    brute += rho_fn(H, l - j) ** 2 * levels[i, l] * levels[i, j]
+                    brute += rho(H, l - j) ** 2 * levels[i, l] * levels[i, j]
             brute *= 2.0 / n
             assert values[i] == pytest.approx(brute, rel=1e-10), H
 
 
 def test_fast_len_is_scipys_next_fast_len_for_real_input():
-    scipy_fft = pytest.importorskip("scipy.fft")
+    # the smallest 5-smooth integer >= t, by brute force over 2^a 3^b 5^c
+    smooth = sorted(2**a * 3**b * 5**c for a in range(16) for b in range(10) for c in range(7))
     targets = range(1, 20000)
-    assert [_fast_len(t) for t in targets] == [scipy_fft.next_fast_len(t, real=True) for t in targets]
+    assert [_fast_len(t) for t in targets] == [smooth[bisect.bisect_left(smooth, t)] for t in targets]
 
 
-@pytest.mark.parametrize("n", [100, 1000, 4096, 5000])
+# sha256 of A_n at H = 0.45 below, recorded while it equalled, bit for bit, the
+# same sum with scipy.fft's next_fast_len, rfft and irfft in place of numpy's
+A_N_FFT_PINS = {
+    100: "46ab8fbbc576edca5af41dbeb41efbe893cc2c5b23d74ec59f2c1091fb99ac2a",
+    1000: "c23d6c21e2c62b2bea09276d9714ee3655ca87ce3f68801189ac1d6182b38629",
+    4096: "c5c78270821e4804f8382bd8b6d1e6773e0d63bcd288366c542b37925b1df60b",
+    5000: "3ac397947b7cf6feedfa7561e60b1dabfc4d1ed7eb2eabed26dee0d99910c244",
+}
+
+
+@pytest.mark.parametrize("n", sorted(A_N_FFT_PINS))
 def test_a_n_fft_branch_has_the_bits_of_scipy_fft(n):
     # H = 0.45 keeps every lag in the band, so A_n takes its FFT branch
-    scipy_fft = pytest.importorskip("scipy.fft")
-    H, f = 0.45, WeightFunction.cosine(1.0, 1.0)
-    batch = sample_paths(FbmGrid(H, n), 3, seed=5)
-    weights = _weight_values(batch, f)
-    lag_weights = np.asarray(rho(H, np.arange(n))) ** 2
-    size = scipy_fft.next_fast_len(2 * n, real=True)
-    spectrum = scipy_fft.rfft(weights, size, axis=1)
-    autocorr = scipy_fft.irfft(np.abs(spectrum) ** 2, size, axis=1)[:, :n]
-    total = lag_weights[0] * autocorr[:, 0] + 2.0 * (autocorr[:, 1:] @ lag_weights[1:])
-    expected = math.factorial(2) / n * total
-    assert a_n_statistic(batch, 2, f).tobytes() == expected.tobytes()
+    values = a_n_statistic(sample_paths(FbmGrid(0.45, n), 3, seed=5), 2, WeightFunction.cosine(1.0, 1.0))
+    assert values.shape == (3,) and values.dtype == np.float64
+    assert hashlib.sha256(values.tobytes()).hexdigest() == A_N_FFT_PINS[n]
 
 
 def test_a_n_validation():
