@@ -158,17 +158,6 @@ def signed_rho_power_sum(H: float, q: int, tol: float = 1e-12) -> float:
     return _rho_power_series(H, q, tol, signed=True)
 
 
-def _raise_in_place(x: np.ndarray, exponent) -> None:
-    """x ** exponent into x, by the ufunc numpy's ``**`` picks (``square`` for
-    the int 2, ``sqrt`` for the float 0.5, ``power`` otherwise), so with its bits."""
-    if type(exponent) is int and exponent == 2:
-        np.square(x, out=x)
-    elif type(exponent) is float and exponent == 0.5:
-        np.sqrt(x, out=x)
-    else:
-        np.power(x, exponent, out=x)
-
-
 def _pairwise_leaves(lo: int, hi: int, leaf: int) -> list[tuple[int, int]]:
     """The leaves of at most ``max(leaf, 128)`` elements, in order, of
     ``np.sum``'s pairwise tree over [lo, hi): numpy sums more than 128 elements
@@ -199,8 +188,10 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
     ``_pairwise_leaves`` of ``SERIES_LEAF`` lags, one task each on
     ``rng.worker_count()`` threads: a leaf raises k^{2H} once per lag k =
     lo-1 .. hi, forms rho from neighbouring powers in ``rho``'s order of
-    operations, raises it to q as ``**`` does and sums it.  The result has
-    the bits of summing ``rho(H, lags) ** q`` with one ``np.sum`` per chunk.
+    operations, raises it to q and sums it.  Both powers are ``**=`` in
+    place, which picks ``square``, ``sqrt`` or ``power`` as ``**`` does, so
+    the result has the bits of summing ``rho(H, lags) ** q`` with one
+    ``np.sum`` per chunk.
     """
     H = _check_hurst(H)
     if q < 1:
@@ -229,12 +220,12 @@ def _rho_power_series(H: float, q: int, tol: float, signed: bool) -> float:
     def leaf_sum(lo: int, hi: int) -> float:
         # k^{2H} for k = lo-1 .. hi; lag k needs those at k-1, k, k+1
         powers = np.arange(lo - 1, hi + 1, dtype=float)
-        _raise_in_place(powers, 2 * H)
+        powers **= 2 * H
         terms = np.multiply(powers[1:-1], 2.0)
         np.subtract(powers[2:], terms, out=terms)
         np.add(terms, powers[:-2], out=terms)
         np.multiply(terms, 0.5, out=terms)  # rho(H, k), as rho orders it
-        _raise_in_place(terms, q)
+        terms **= q
         if not signed:
             np.abs(terms, out=terms)
         return float(np.sum(terms))

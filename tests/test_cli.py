@@ -7,7 +7,6 @@ an isolated output directory, then inspects exit codes, the canonical
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -384,49 +383,3 @@ def test_config_values_of_the_default_type_are_accepted(tmp_path):
     payload = _read_report(tmp_path / "out")
     assert payload["config"]["n"] == [64]
     assert payload["config"]["tolerance"] == 1
-
-
-def _output_digest(out_dir) -> str:
-    """sha256 of report.json without meta, version and config.out, then samples.csv."""
-    payload = without_meta(_read_report(out_dir))
-    payload.pop("version")
-    payload["config"].pop("out")
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-    digest.update((out_dir / "samples.csv").read_bytes())
-    return digest.hexdigest()
-
-
-# Output digests at tiny sizes, recorded before the per-replica tables were
-# written by one column helper: a change of these bytes is a change of output.
-# The fbm pin was re-recorded when --method went: the same paths, with
-# "method": "auto" in place of "circulant" in the config block.
-@pytest.mark.parametrize(
-    "argv, config, pin",
-    [
-        (
-            ["limit-test", "--q", "2", "--H", "0.3", "--n", "256", "--m", "64",
-             "--weight", "cos:1,1", "--seed", "3"],
-            {"n_fine": 1024, "variance_tolerance": 0.5},
-            "1831ccaa37243ddb58bbc22295cd080ad5e98fa37535c0da36ccfb591903abe1",
-        ),
-        (
-            ["example-brownian", "--n", "8", "--m", "64", "--seed", "2"],
-            {"resolution": 512},
-            "78f3534a5219ad8045b9be7df1b158df8e0b594dbb147fe5f4b1b63301567d8d",
-        ),
-        (
-            ["identities", "--seed", "3"],
-            {"instances": 12},
-            "15efdb2759f46dbd91f175befeea5df0b9040879cc2d65a81b58a7e977d34624",
-        ),
-        (
-            ["fbm", "--H", "0.3", "--n", "16", "--m", "5", "--seed", "1"],
-            {},
-            "798d2d01087c555cd63f813e0f773cbc2939e85a9b1d204588f46a96aaae39be",
-        ),
-    ],
-    ids=["limit-test", "example-brownian", "identities", "fbm"],
-)
-def test_cli_output_bytes_pinned(tmp_path, argv, config, pin):
-    assert _run_with_config(tmp_path, argv, config) == 0
-    assert _output_digest(tmp_path / "out") == pin

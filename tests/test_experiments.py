@@ -1,7 +1,5 @@
 """End-to-end comparison pipelines: variation statistics vs their limit laws."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -189,39 +187,3 @@ def test_riemann_comparison_validation():
         riemann_comparison(2, 0.1, X4, (64,), 100, seed=0)  # needs >= 2 sizes
     with pytest.raises(ValueError):
         riemann_comparison(2, 0.1, X4, (256, 64), 100, seed=0)  # must increase
-
-
-def _sha256(*arrays) -> str:
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-    return digest.hexdigest()
-
-
-# Recorded while the fBm path loop was serial and reduced 2048-path batches;
-# the block pool must reproduce them at any thread count.  Mixture pins hash
-# the arrays of mixture_comparison(2, H, COS, 256, 2100, seed=4, n_fine=1024)
-# in key order; 2100 paths cross a 2048-path boundary and end mid-slab.
-MIXTURE_PINS = {
-    0.3: "efde69a6d2b012c7a87744be956832e39ac70c2896ea038a6f40569b81643fd6",
-    0.25: "487195354bc909c3fab34b4f6b60df2483548f6c23b048f3bd732010544699fe",
-}
-# distances then norm-ratio gaps of riemann_comparison(2, 0.2, COS, (64, 256), 2100, seed=8)
-RIEMANN_PIN = "f7a7834b73e74579a8b7fcd9290c416e1f29c9b3303f106e60927cd5b279e426"
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-@pytest.mark.parametrize("H", [0.3, 0.25])
-def test_mixture_comparison_bits_pinned_at_any_thread_count(monkeypatch, threads, H):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    _, arrays = mixture_comparison(2, H, COS, 256, 2100, seed=4, n_fine=1024)
-    assert _sha256(*(arrays[key] for key in sorted(arrays))) == MIXTURE_PINS[H]
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_riemann_distances_pinned_at_any_thread_count(monkeypatch, threads):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    report, _ = riemann_comparison(2, 0.2, COS, (64, 256), 2100, seed=8)
-    extras = report.extras
-    digest = _sha256(list(extras["distances"].values()), list(extras["norm_ratio_gaps"].values()))
-    assert digest == RIEMANN_PIN

@@ -1,6 +1,5 @@
 """Fractional Brownian motion: covariances, samplers, file format, bound suite."""
 
-import hashlib
 import math
 import sys
 import threading
@@ -28,6 +27,8 @@ from chaoslab.fbm import (
     save_paths,
     signed_rho_power_sum,
 )
+
+from determinism import PINS, circulant_transforms, embedding_spectra, sha256
 
 
 # -- closed forms ------------------------------------------------------------
@@ -135,40 +136,6 @@ def test_rho_power_sums():
     assert abs(loose - tight) <= 2e-8
 
 
-# float reprs of (signed, absolute) rho^q series at tol 1e-10, recorded while
-# each lag raised its own three powers: perfbench's sigma points, and q = 3
-# at H = 0.3, where rho changes sign and the two series differ
-RHO_SERIES_PINS = {
-    (2, 0.3): ("1.1251955053270797", "1.1251955053270797"),
-    (2, 0.4): ("1.038803020130259", "1.038803020130259"),
-    (2, 0.47): ("1.0042345141748998", "1.0042345141748998"),
-    (3, 0.5): ("1.0", "1.0"),
-    (3, 0.62): ("1.014939104322052", "1.014939104322052"),
-    (4, 0.7): ("1.0258136324829423", "1.0258136324829423"),
-    (3, 0.3): ("0.9713107840154244", "1.0286892159845755"),
-}
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_rho_power_sums_bits_pinned_at_any_thread_count(monkeypatch, threads):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    for (q, H), pinned in RHO_SERIES_PINS.items():
-        values = (signed_rho_power_sum(H, q, 1e-10), abs_rho_power_sum(H, q, 1e-10))
-        assert tuple(repr(v) for v in values) == pinned, (q, H)
-
-
-@pytest.mark.parametrize("exponent", [2, 3, 0.5, 2 * 0.47, 1.4])
-def test_raise_in_place_matches_the_power_operator_bit_for_bit(exponent):
-    # numpy's ** picks square for the int 2 and sqrt for the float 0.5; the
-    # series leaves raise in place with the same choice
-    x = np.random.default_rng(3).uniform(-2.0, 2.0, 5 * 2**16 + 7)
-    if isinstance(exponent, float):
-        x = np.abs(x)
-    expected = x**exponent
-    chaoslab.fbm._raise_in_place(x, exponent)
-    assert x.tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("n", [1, 8, 100, 128, 129, 1000, 2**16, 2**16 + 8, 3 * 2**17 + 5, 2**22])
 def test_pairwise_fold_of_leaf_sums_is_np_sum_bit_for_bit(n):
     # the series folds its leaf sums along numpy's pairwise-summation tree; a
@@ -253,80 +220,26 @@ def test_embedding_spectrum_trace_identity():
 
 
 # -- the circulant plan keeps the bits it had on scipy.fft ----------------------
-# Each pin was recorded while the spectrum equalled, bit for bit, the real part
-# of scipy.fft.fft of the embedding row, and the transform the same transform
-# with scipy.fft.ifft(..., workers=1, overwrite_x=True) in place of numpy's.
-
-# sha256 of embedding_spectrum(FbmGrid(H, n)) over H = 0.05, 0.3, 0.5, 0.8, 0.99
-EMBEDDING_SPECTRUM_PINS = {
-    1: "bf9fc499d24097ab0657e7d14054e3f7f084a7808a66fd02d88cecc6c27377a5",
-    2: "da37b048a7b73820cce4d96b5fd65db350f2b0276d4ad65917a4a2f39cd442b9",
-    7: "91d61e3494dc56935fd85fd91d36d479228690fdc6610388bd72a44e8c9f189c",
-    64: "8f14c1ad6cef67a69a78433bffd0ffd942eb7ca6628c46b9b203b37ff9c6c66b",
-    513: "b5118cb5948571908fe6b3626f7795f038140e5527778a9602fbaa50644b0a21",
-    4096: "e88dbf30d6c5f98bc74ccc5a2c68a37b298feacb1924eb26b93d90a04c691ba7",
-    5000: "66107eda6eacffc61b755d815908967e720dfd6cb5c3df24850f1df20f065124",
-}
-
-# sha256 of the plan's transform of default_rng(n) normals at H = 0.3, then
-# 0.8: two full slabs through the same per-thread buffer, then a 3-row slab
-CIRCULANT_TRANSFORM_PINS = {
-    1: "acd3260590d881ab21ba77cd1ccdb0ca943e49412781e9389740a07fea7c6b6a",
-    3: "610046f79b61f6e3b1dd3b4d09cd6f6bb2d8376951d115c42d5ba07b7419a0e7",
-    1000: "27c563e5a021d7e4b9e0a84b85baff8f526572afef81c10f5984cc888c9fa241",
-    4096: "6bea72ddb4e661fcfbbf28746bcd0959cab3414fb6a82b9a74868c89e2bad3be",
-}
 
 
-@pytest.mark.parametrize("n", sorted(EMBEDDING_SPECTRUM_PINS))
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 4096, 5000])
 def test_embedding_spectrum_has_the_bits_of_the_complex_fft(n):
-    digest = hashlib.sha256()
-    for H in (0.05, 0.3, 0.5, 0.8, 0.99):
-        spectrum = embedding_spectrum(FbmGrid(H, n))
+    spectra = embedding_spectra(n)
+    for H, spectrum in spectra.items():
         assert spectrum.shape == (2 * n,) and (spectrum[1:] == spectrum[:0:-1]).all(), H
         # numpy's complex FFT of the embedding row agrees to rounding, not to the bit
         cov = n ** (-2.0 * H) * np.asarray(rho(H, np.arange(n + 1)))
         row = np.concatenate([cov, cov[-2:0:-1]])
         assert np.abs(spectrum - np.fft.fft(row).real).max() <= 1e-14 * np.abs(row).sum(), H
-        digest.update(spectrum.tobytes())
-    assert digest.hexdigest() == EMBEDDING_SPECTRUM_PINS[n]
+    assert sha256(*spectra.values()) == PINS[f"embedding_spectra({n})"].recorded
 
 
-@pytest.mark.parametrize("n", sorted(CIRCULANT_TRANSFORM_PINS))
+@pytest.mark.parametrize("n", [1, 3, 1000, 4096])
 def test_circulant_transform_has_the_bits_of_the_scipy_transform(n):
-    rng_local = np.random.default_rng(n)
-    digest = hashlib.sha256()
-    for H in (0.3, 0.8):
-        transform = chaoslab.fbm._circulant(FbmGrid(H, n)).transform
-        for height in (chaoslab.rng.slab_rows(4 * n),) * 2 + (3,):
-            out = transform(rng_local.standard_normal((height, 4 * n)))
-            assert out.shape == (2 * height, n), (H, height)
-            digest.update(out.tobytes())
-    assert digest.hexdigest() == CIRCULANT_TRANSFORM_PINS[n]
-
-
-_BLAS_PROBE = """
-import hashlib
-from chaoslab.fbm import FbmGrid, sample_paths
-from chaoslab.limits import brownian_example_run
-
-fbm = hashlib.sha256()
-for n in (3, 64, 1000):
-    for H in (0.1, 0.5, 0.8):
-        fbm.update(sample_paths(FbmGrid(H, n), 301, 9).increments.tobytes())
-_, arrays = brownian_example_run(16, 64, 5, resolution=2048)
-brownian = hashlib.sha256(b"".join(column.tobytes() for column in arrays.values()))
-print(fbm.hexdigest(), brownian.hexdigest())
-"""
-
-
-def test_circulant_and_brownian_bits_do_not_depend_on_the_blas_thread_count(run_python):
-    # no sampled bit passes through a BLAS call: the circulant plan runs FFTs,
-    # the white-noise plan of H = 1/2 scales elementwise, and the Brownian
-    # example draws its normals directly
-    digests = {run_python("-c", _BLAS_PROBE, CHAOSLAB_THREADS="2", OPENBLAS_NUM_THREADS=threads,
-                          OMP_NUM_THREADS=threads).strip() for threads in ("1", "2")}
-    assert len(digests) == 1, digests
+    outs = circulant_transforms(n)
+    heights = (chaoslab.rng.slab_rows(4 * n),) * 2 + (3,)
+    assert [out.shape for out in outs] == [(2 * height, n) for height in heights * 2]
+    assert sha256(*outs) == PINS[f"circulant_transforms({n})"].recorded
 
 
 def test_embedding_spectrum_nonnegative_across_hurst_range():
@@ -369,10 +282,9 @@ def test_sample_paths_determinism_and_chunk_invariance():
     np.testing.assert_array_equal(white_head.paths, white.paths[:3])
 
 
-# the Hurst index at which a test runs each plan.  The white-noise plan is
-# named "cholesky-diagonal" in test ids: it scales by the diagonal Cholesky
-# factor of the covariance, and keeps that plan's RNG label "fgn-cholesky"
-PLAN_HURST = {"cholesky-diagonal": 0.5, "circulant": 0.3}
+# the Hurst index at which a test runs each plan.  The white-noise plan keeps
+# the RNG label "fgn-cholesky" of the diagonal Cholesky factor it replaced
+PLAN_HURST = {"white-noise": 0.5, "circulant": 0.3}
 
 
 @pytest.mark.parametrize(
@@ -422,9 +334,9 @@ def _collect(grid, m, seed):
 @pytest.mark.parametrize(
     ("plan", "n", "slab_paths"),
     [
-        pytest.param("cholesky-diagonal", 16, 256, id="cholesky-diagonal-256"),
+        pytest.param("white-noise", 16, 256, id="white-noise-256"),
         # a white-noise row at n = 4096 holds 4096 normals, so its 1 MiB slab is 32 rows
-        pytest.param("cholesky-diagonal", 4096, 32, id="cholesky-diagonal-n4096-32"),
+        pytest.param("white-noise", 4096, 32, id="white-noise-n4096-32"),
         pytest.param("circulant", 16, 512, id="circulant-512"),
         # a circulant row at n = 4096 holds 16384 normals, so its 1 MiB slab is 8 rows
         pytest.param("circulant", 4096, 16, id="circulant-n4096-16"),
@@ -448,62 +360,15 @@ def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, plan, n, sl
     np.testing.assert_array_equal(np.concatenate([b.paths for b in batches]), whole.paths)
 
 
-def _digest(batch):
-    return hashlib.sha256(batch.increments.tobytes() + batch.paths.tobytes()).hexdigest()
-
-
-# sha256 of sample_paths(FbmGrid(0.3, 16), 1537, 9) increments then levels,
-# recorded while the circulant plan was still chosen there by name
-CIRCULANT_16_1537 = "b438ca11f8cf3ebb8d2c9335c47c593f329437f3c1bc3570afa50da7f20101d1"
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab(monkeypatch, threads):
+def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab():
     # 1537 paths need one pair row of the last slab: the whole slab is
     # transformed, and the batch is cut to one path after the transform
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
     grid = FbmGrid(0.3, 16)
     batches = _collect(grid, 1537, 9)
     assert [b.m for b in batches] == [512, 512, 512, 1]
     whole = sample_paths(grid, 1537, 9)
     np.testing.assert_array_equal(np.concatenate([b.increments for b in batches]), whole.increments)
-    assert _digest(whole) == CIRCULANT_16_1537
-
-
-# sha256 of increments then levels at H = 0.3, and the plan that samples them;
-# recorded while every slab was 256 rows
-SLAB_PINS = {
-    (4096, 1029, "circulant"): "839bfa91b9a1717fbd7eabb6add9c111a1db8986d2b11133311466e24cfefa81",
-}
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-@pytest.mark.parametrize(("n", "m", "plan"), sorted(SLAB_PINS))
-def test_sample_paths_bits_survive_byte_sized_slabs(monkeypatch, threads, n, m, plan):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    grid = FbmGrid(0.3, n)
-    assert chaoslab.fbm._sampler(grid).label == f"fgn-{plan}"
-    assert _digest(sample_paths(grid, m, 9)) == SLAB_PINS[n, m, plan]
-
-
-# sha256 of sample_paths(FbmGrid(H, n), 769, 9) increments then levels,
-# recorded while a diagonal Cholesky factor still went through a one-thread
-# GEMM; the white-noise plan's elementwise scale keeps them.  At n = 1 every
-# H gives N(0, 1) * 1, so (0.3, 1) and (0.5, 1) agree
-CHOLESKY_DIAGONAL_PINS = {
-    (0.5, 1): "b4c6e7ca84e18202ff9f99139b12e777b4d24d9fb847b0c163694c4b1427ed30",
-    (0.5, 64): "220cde2137bcfe822a8457231553ed1d8db7b6a25672ddcc438fb8e3e0c7f02c",
-    (0.5, 512): "e6574036597bbaaca8f66aa7cc54bbb6266fe4b01d4a8888c044b361d769f5ec",
-    (0.3, 1): "b4c6e7ca84e18202ff9f99139b12e777b4d24d9fb847b0c163694c4b1427ed30",
-}
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-@pytest.mark.parametrize(("H", "n"), sorted(CHOLESKY_DIAGONAL_PINS))
-def test_diagonal_cholesky_scale_has_the_gemm_bits(monkeypatch, threads, H, n):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    digest = _digest(sample_paths(FbmGrid(H, n), 769, 9))
-    assert digest == CHOLESKY_DIAGONAL_PINS[H, n]
+    assert sha256(whole.increments, whole.paths) == PINS["sample_paths(0.3, 16, 1537, 9)"].recorded
 
 
 def test_circulant_stream_peak_memory_is_a_few_slabs(monkeypatch):
@@ -529,7 +394,7 @@ def test_map_paths_propagates_consumer_errors(monkeypatch):
         map_paths(FbmGrid(0.3, 16), 4096, 1, consume)
 
 
-@pytest.mark.parametrize("plan", ["circulant", "cholesky-diagonal"])
+@pytest.mark.parametrize("plan", ["circulant", "white-noise"])
 def test_map_paths_consumer_owns_and_may_overwrite_each_batch(monkeypatch, plan):
     # a consumer may scale increments in place: no batch may share memory with
     # another batch or with a buffer that a later slab reads or fills
@@ -569,7 +434,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize(
-    ("plan", "plan_step"), [("circulant", "embedding_spectrum"), ("cholesky-diagonal", "_sampler")]
+    ("plan", "plan_step"), [("circulant", "embedding_spectrum"), ("white-noise", "_sampler")]
 )
 def test_map_paths_builds_one_plan(monkeypatch, plan, plan_step):
     calls = _count_calls(monkeypatch, chaoslab.fbm, plan_step)
@@ -631,15 +496,6 @@ def test_circulant_transform_has_the_exact_increment_covariance(n):
         assert np.abs(a0t.T @ a1t).max() <= 1e-12 * scale
 
 
-def test_cholesky_reconstructs_covariance_exactly():
-    # Cholesky factor L must satisfy L L^T = increment covariance to 1e-10
-    for H in (0.2, 0.45, 0.7):
-        grid = FbmGrid(H, 64)
-        cov = grid.increment_covariance()
-        L = np.linalg.cholesky(cov)
-        np.testing.assert_allclose(L @ L.T, cov, atol=1e-10)
-
-
 def test_monte_carlo_increment_covariance_h_half():
     grid = FbmGrid(0.5, 4)
     batch = sample_paths(grid, 40_000, seed=11)
@@ -654,7 +510,7 @@ def test_batch_rejects_bad_increment_shape():
         FbmPathBatch(grid, np.zeros((2, 5)), seed=0)
 
 
-@pytest.mark.parametrize("plan", ["cholesky-diagonal", "circulant"])
+@pytest.mark.parametrize("plan", ["white-noise", "circulant"])
 def test_levels_are_the_zero_padded_cumsum_of_increments(plan):
     batch = sample_paths(FbmGrid(PLAN_HURST[plan], 16), 5, seed=4)
     assert np.all(batch.paths[:, 0] == 0.0)

@@ -1,7 +1,5 @@
 """Mixture limit laws, distribution tests, fourth-moment bounds, Brownian example."""
 
-import hashlib
-import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -26,6 +24,8 @@ from chaoslab.limits import (
 )
 from chaoslab.variations import sigma_hq
 from chaoslab.weights import WeightFunction
+
+from determinism import PINS, normal_cdf_points, sha256, ulp_neighbours
 
 ONE = WeightFunction.constant()
 
@@ -305,85 +305,17 @@ def test_chaos2_dense_blocked_agree(monkeypatch):
         assert [v.hex() for v in chaos2_fourth_moment_exact(H, n)] == dense, (H, n)
 
 
-# float reprs of (variance, fourth_moment, normalized_m4), recorded from the
-# GEMM and blocked-FFT routes that the recursion replaced
-CHAOS2_PINS = {
-    (0.3, 2048): ("2.2502499462069827", "15.23032463413277", "3.0077908957156967"),
-    (0.3, 4097): ("2.2503204863543353", "15.211549013790663", "3.003894621766619"),
-    (0.62, 4160): ("2.265188394157056", "15.433062819255747", "3.0077620010075488"),
-    # an uncompensated recursion is 12 ulps off in tr(M^4) here, which moves normalized_m4
-    (0.218356, 2048): ("2.4301596671878065", "17.769310594808974", "3.008852935829677"),
-}
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_chaos2_bits_pinned_at_any_thread_count(monkeypatch, threads):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    for (H, n), pinned in CHAOS2_PINS.items():
-        moments = chaos2_fourth_moment_exact(H, n)
-        assert tuple(repr(v) for v in moments) == pinned, (H, n)
-
-
-# berry-esseen's chaos2 points: M is the identity at H = 1/2
-BERRY_ESSEEN_CHAOS2_PINS = {
-    (0.5, 64): ("2.0", "12.75", "3.1875"),
-    (0.5, 256): ("2.0", "12.1875", "3.046875"),
-}
-
-# repr of chaos2_fourth_moment_exact(0.5, n), recorded from the GEMM route
-CHAOS2_H_HALF_PINS = {
-    1: ("2.0", "60.0", "15.0"),
-    2: ("2.0", "36.0", "9.0"),
-    7: ("2.0", "18.857142857142858", "4.714285714285714"),
-    64: ("2.0", "12.75", "3.1875"),
-    255: ("2.0", "12.188235294117646", "3.0470588235294116"),
-    256: ("2.0", "12.1875", "3.046875"),
-    257: ("2.0", "12.186770428015564", "3.046692607003891"),
-    1000: ("2.0", "12.048", "3.012"),
-    3001: ("2.0", "12.015994668443852", "3.003998667110963"),
-    4096: ("2.0", "12.01171875", "3.0029296875"),
-}
-
-
 def test_chaos2_h_half_dense_bits_need_no_gemm(monkeypatch):
     def no_gemm(*args, **kwargs):
         raise AssertionError("GEMM called")
 
     monkeypatch.setattr(np, "matmul", no_gemm)
     monkeypatch.setattr(np, "dot", no_gemm)
-    pins = {**CHAOS2_PINS, **{(0.5, n): pinned for n, pinned in CHAOS2_H_HALF_PINS.items()}}
-    for (H, n), pinned in pins.items():
-        assert tuple(repr(v) for v in chaos2_fourth_moment_exact(H, n)) == pinned, (H, n)
+    for name, pin in PINS.items():
+        if name.startswith("chaos2_fourth_moment_exact("):
+            assert pin.compute() == pin.recorded, name
     for H in (0.05, 0.3, 0.5, 0.62, 0.7):
         assert chaos2_fourth_moment_exact(H, 1000).normalized_m4 > 3.0
-
-
-_CHAOS2_PROBE = """
-import json, sys
-from chaoslab.limits import chaos2_fourth_moment_exact
-points = json.loads(sys.argv[1])
-print(json.dumps([[repr(v) for v in chaos2_fourth_moment_exact(H, n)] for H, n in points]))
-"""
-
-
-# each probe runs in a fresh interpreter: the BLAS thread count is read once, when the library loads
-@pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_chaos2_bits_pinned_at_any_blas_thread_count(blas_threads, run_python):
-    # tr(M^2) is still a BLAS dot product
-    pins = {**CHAOS2_PINS, **BERRY_ESSEEN_CHAOS2_PINS}
-    out = run_python("-c", _CHAOS2_PROBE, json.dumps(list(pins)), OPENBLAS_NUM_THREADS=blas_threads)
-    got = json.loads(out.splitlines()[-1])
-    assert {point: tuple(moments) for point, moments in zip(pins, got)} == pins
-
-
-def test_berry_esseen_bits_at_h_half_follow_no_blas_thread_count(run_python):
-    # the white-noise sampler scales elementwise, and tr(M^4) = n needs no GEMM
-    probe = (
-        "from chaoslab.limits import berry_esseen_check\n"
-        "print(berry_esseen_check(0.5, 256, 4096, 3).statistic.hex())"
-    )
-    outs = {run_python("-c", probe, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
-    assert len(outs) == 1, outs
 
 
 @pytest.mark.parametrize("n", [2048, 4096, 4160])
@@ -428,40 +360,18 @@ def test_berry_esseen_check_passes_at_moderate_size():
     assert report.extras["normalized_m4"] == pytest.approx(3.0 + 12.0 / 64.0, rel=1e-10)
 
 
-def _ulp_neighbours(a: float, k: int = 64) -> np.ndarray:
-    """The positive ``a`` and its ``k`` float64 neighbours on each side."""
-    return (np.float64(a).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
-
-
-# sha256 of _normal_cdf on the points below, recorded while it equalled
-# scipy.special.ndtr (Cephes) on them bit for bit
-NORMAL_CDF_PIN = "e8c816ced4ea38d0a92d9d57e81831a18fc6d58699db4d34bed87bbf9d6d14e2"
-
-
-def test_normal_cdf_is_scipys_ndtr_bit_for_bit():
-    rng = np.random.default_rng(5)
-    sqrt1_2 = chaoslab.limits._SQRT1_2
-    # |a| sqrt(1/2) = sqrt(1/2), 1 and 8 switch branches; erfc underflows to 0 past MAXLOG
-    edges = [1.0, 1.0 / sqrt1_2, 8.0 / sqrt1_2, math.sqrt(2.0 * chaoslab.limits._MAXLOG)]
-    near = np.concatenate([_ulp_neighbours(edge) for edge in edges])
-    a = np.concatenate([
-        rng.normal(0.0, 2.0, 1_000_000),
-        rng.uniform(-40.0, 40.0, 1_000_000),
-        near,
-        -near,
-        np.linspace(-38.0, -37.4, 10_001),
-        [0.0, -0.0, np.inf, -np.inf, np.nan],
-    ])
+def test_normal_cdf_keeps_its_recorded_bits_across_its_branch_switches():
+    a = normal_cdf_points()
     got = chaoslab.limits._normal_cdf(a)
     assert got.shape == a.shape and got.dtype == np.float64
-    assert hashlib.sha256(got.tobytes()).hexdigest() == NORMAL_CDF_PIN
+    assert sha256(got) == PINS["normal_cdf()"].recorded
 
 
 def test_normal_cdf_is_accurate_against_mpmath():
     # Cephes's tail error grows like a^2 eps: rel_err / ((1 + a^2) 2^-53) reached
     # 4.25 on 112k points of [-37.6, 9], next to the a = -sqrt(2) branch edge
     edges = (1.0, 1.0 / chaoslab.limits._SQRT1_2, 8.0 / chaoslab.limits._SQRT1_2)  # branch switches
-    near = np.concatenate([_ulp_neighbours(edge, 32) for edge in edges])
+    near = np.concatenate([ulp_neighbours(edge, 32) for edge in edges])
     uniform = np.random.default_rng(7).uniform(-38.0, 9.0, 1000)
     a = np.concatenate([near, -near, np.linspace(-38.0, 9.0, 4701), uniform])
     got = chaoslab.limits._normal_cdf(a)
@@ -567,23 +477,6 @@ def test_brownian_example_deterministic():
     assert a.extras["ks_statistic"] == b.extras["ks_statistic"]
 
 
-# sha256 of f, inner, s2 and reference (in that order) from
-# brownian_example_run(4, 700, seed=2, resolution=1024), recorded before the
-# replica loop moved onto rng.map_slabs; m = 700 ends in a partial block and
-# a partial slab.
-BROWNIAN_PIN = "f422909eaaf64aea8f2a60a213ef4a0980c90950b47dc2424b15ae53b8c23109"
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_brownian_example_bits_pinned_at_any_thread_count(monkeypatch, threads):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    _, arrays = brownian_example_run(4, 700, seed=2, resolution=1024)
-    digest = hashlib.sha256()
-    for key in ("f", "inner", "s2", "reference"):
-        digest.update(np.ascontiguousarray(arrays[key]).tobytes())
-    assert digest.hexdigest() == BROWNIAN_PIN
-
-
 def test_brownian_example_peak_memory_is_a_few_slabs(monkeypatch):
     # 256-row slabs of 4098 normals, with 256-row scratch per thread, made this 160 MiB
     monkeypatch.setenv("CHAOSLAB_THREADS", "2")
@@ -594,35 +487,3 @@ def test_brownian_example_peak_memory_is_a_few_slabs(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-def _sha256(*arrays) -> str:
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-    return digest.hexdigest()
-
-
-# Recorded while the fBm path loop was serial and reduced 2048-path batches;
-# the block pool must reproduce them at any thread count.
-# values, conditional variances, shifts of sample_mixture_limit(spec below, 1500, seed=6)
-MIXTURE_LIMIT_PIN = "882ee0887b4ff7b05b7eda6a58c90038397bcbf455ffc87bab1c6655290b738f"
-# the statistic of berry_esseen_check(0.3, 64, 3000, seed=5), as float64 bytes;
-# re-recorded when the circulant plan replaced Cholesky sampling at n <= 512
-BERRY_ESSEEN_PIN = "f24e0852a9ce3aa94bdc76b1a1d5f5a294afd219e84dd6c2183b76468df93572"
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_mixture_limit_with_shift_bits_pinned_at_any_thread_count(monkeypatch, threads):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    cos = WeightFunction.cosine(1.0, 1.0)
-    spec = _spec(0.25, cos, n_fine=1024, shift_coefficient=0.25)
-    sample = sample_mixture_limit(spec, 1500, seed=6)
-    digest = _sha256(sample.values, sample.conditional_variances, sample.shifts)
-    assert digest == MIXTURE_LIMIT_PIN
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_berry_esseen_statistic_pinned_at_any_thread_count(monkeypatch, threads):
-    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
-    assert _sha256([berry_esseen_check(0.3, 64, 3000, seed=5).statistic]) == BERRY_ESSEEN_PIN

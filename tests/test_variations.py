@@ -1,7 +1,6 @@
 """Weighted Hermite variations: statistic, correction, regimes, decomposition."""
 
 import bisect
-import hashlib
 import math
 
 import numpy as np
@@ -22,6 +21,8 @@ from chaoslab.variations import (
     skorohod_weighted_closed_form,
 )
 from chaoslab.weights import WeightFunction
+
+from determinism import PINS, a_n_fft, sha256
 
 ONE = WeightFunction.constant()
 
@@ -428,29 +429,18 @@ def test_a_n_direct_band_matches_fft_route():
             assert values[i] == pytest.approx(brute, rel=1e-10), H
 
 
-def test_fast_len_is_scipys_next_fast_len_for_real_input():
+def test_fast_len_is_the_smallest_5_smooth_integer_not_below_its_target():
     # the smallest 5-smooth integer >= t, by brute force over 2^a 3^b 5^c
     smooth = sorted(2**a * 3**b * 5**c for a in range(16) for b in range(10) for c in range(7))
     targets = range(1, 20000)
     assert [_fast_len(t) for t in targets] == [smooth[bisect.bisect_left(smooth, t)] for t in targets]
 
 
-# sha256 of A_n at H = 0.45 below, recorded while it equalled, bit for bit, the
-# same sum with scipy.fft's next_fast_len, rfft and irfft in place of numpy's
-A_N_FFT_PINS = {
-    100: "46ab8fbbc576edca5af41dbeb41efbe893cc2c5b23d74ec59f2c1091fb99ac2a",
-    1000: "c23d6c21e2c62b2bea09276d9714ee3655ca87ce3f68801189ac1d6182b38629",
-    4096: "c5c78270821e4804f8382bd8b6d1e6773e0d63bcd288366c542b37925b1df60b",
-    5000: "3ac397947b7cf6feedfa7561e60b1dabfc4d1ed7eb2eabed26dee0d99910c244",
-}
-
-
-@pytest.mark.parametrize("n", sorted(A_N_FFT_PINS))
+@pytest.mark.parametrize("n", [100, 1000, 4096, 5000])
 def test_a_n_fft_branch_has_the_bits_of_scipy_fft(n):
-    # H = 0.45 keeps every lag in the band, so A_n takes its FFT branch
-    values = a_n_statistic(sample_paths(FbmGrid(0.45, n), 3, seed=5), 2, WeightFunction.cosine(1.0, 1.0))
+    values = a_n_fft(n)
     assert values.shape == (3,) and values.dtype == np.float64
-    assert hashlib.sha256(values.tobytes()).hexdigest() == A_N_FFT_PINS[n]
+    assert sha256(values) == PINS[f"a_n_fft({n})"].recorded
 
 
 def test_a_n_validation():
