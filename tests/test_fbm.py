@@ -360,9 +360,12 @@ def test_map_paths_concatenate_to_sample_paths(monkeypatch, threads, plan, n, sl
     np.testing.assert_array_equal(np.concatenate([b.paths for b in batches]), whole.paths)
 
 
-def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab():
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_map_paths_transforms_full_slabs_when_m_ends_mid_slab(monkeypatch, threads):
     # 1537 paths need one pair row of the last slab: the whole slab is
-    # transformed, and the batch is cut to one path after the transform
+    # transformed, and the batch is cut to one path after the transform,
+    # both serially and on a block pool that runs the last slab alongside others
+    monkeypatch.setenv("CHAOSLAB_THREADS", threads)
     grid = FbmGrid(0.3, 16)
     batches = _collect(grid, 1537, 9)
     assert [b.m for b in batches] == [512, 512, 512, 1]
