@@ -34,7 +34,7 @@ def _sigma_sq(h: float) -> float:
 def main() -> None:
     paths = 8
     cos_weight = WeightFunction.cosine(1.0, 1.0)
-    one = WeightFunction.constant()
+    one = WeightFunction.polynomial(1.0)
 
     print("A_n with f = 1 vs the limit constant sigma^2 (q = 2)")
     print(f"{'n':>7}", end="")

@@ -180,13 +180,12 @@ def riemann_comparison(
     n_values: tuple[int, ...],
     m: int,
     seed: int,
-    *,
-    normalization: str = "monic",
 ) -> tuple[TestReport, dict[str, np.ndarray]]:
     """Relative L2 distance of n^{qH-1/2} G_n to the per-path Riemann term.
 
     The renormalization cancels in the ratio, so the distance is computed as
-    sqrt(E[(G_n - correction)^2] / E[correction^2]) on coupled paths.  The
+    sqrt(E[(G_n - correction)^2] / E[correction^2]) on coupled paths, both in
+    the monic normalization (a q! divisor would cancel in the ratio too).  The
     report passes when the distance strictly decreases along ``n_values`` and
     the final distance is at most ``RIEMANN_TARGET_TOLERANCE``.
     """
@@ -214,7 +213,7 @@ def riemann_comparison(
 
         def consume(start: int, batch: FbmPathBatch) -> None:
             rows = slice(start, start + batch.m)
-            result = full_variation(batch, q, weight, normalization)
+            result = full_variation(batch, q, weight)
             renormalized[rows] = factor * result.gn
             riemann[rows] = factor * result.correction
 
@@ -246,7 +245,7 @@ def riemann_comparison(
         seeds=(seed,),
         extras={
             "regime": regime.label,
-            "normalization": normalization,
+            "normalization": "monic",
             "n_values": list(n_values),
             "distances": {str(n): d for n, d in zip(n_values, distances)},
             "decrease_ratios": ratios,

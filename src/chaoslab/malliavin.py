@@ -50,11 +50,15 @@ class PolyTensor:
 
     def __init__(self, space, entries):
         arr = np.asarray(entries, dtype=object)
-        if arr.ndim == 0 and not isinstance(arr.item(), PolyRV):
-            raise TypeError("entries must be PolyRV objects")
         d = space.dim
         if arr.shape != (d,) * arr.ndim:
             raise ValueError(f"entries shape {arr.shape} must be ({d},)*order")
+        for entry in arr.flat:
+            if not isinstance(entry, PolyRV):
+                raise TypeError("entries must be PolyRV objects")
+            # an identity test first: the spaces of one computation are one object
+            if entry.space is not space:
+                _check_same_space(space, entry.space, "PolyTensor construction")
         self.space = space
         self.entries = arr
 
@@ -68,10 +72,8 @@ class PolyTensor:
         space = tensor.space
         return cls(space, _each(lambda c: PolyRV.constant(space, c), _to_onb_coeffs(tensor)))
 
-    def map(self, fn) -> "PolyTensor":
-        return PolyTensor(self.space, _each(fn, self.entries))
-
     def __add__(self, other: "PolyTensor") -> "PolyTensor":
+        _check_same_space(self.space, other.space, "PolyTensor addition")
         if self.entries.shape != other.entries.shape:
             raise ValueError("order mismatch")
         return PolyTensor(self.space, self.entries + other.entries)
@@ -94,6 +96,15 @@ class PolyTensor:
 
     def __repr__(self):
         return f"PolyTensor(dim={self.space.dim}, order={self.order})"
+
+
+def _check_same_space(space, other, what: str) -> None:
+    """Raise unless ``other`` is ``space`` or has its Gram matrix."""
+    if not space.same_as(other):
+        raise ValueError(
+            f"{what} mixes Gaussian spaces: dimension {space.dim} and dimension {other.dim}, "
+            "with different Gram matrices"
+        )
 
 
 def _each(fn, *arrays):
@@ -178,6 +189,7 @@ def _skorohod_once(u: PolyTensor) -> PolyTensor:
 
 def pairwise_inner(a: PolyTensor, b: PolyTensor) -> PolyRV:
     """Full inner product over all slots (ON coordinates, identity metric)."""
+    _check_same_space(a.space, b.space, "pairwise_inner")
     if a.entries.shape != b.entries.shape:
         raise ValueError("order mismatch in tensor pairing")
     return np.add.reduce(np.ravel(a.entries * b.entries))
@@ -188,6 +200,7 @@ def partial_inner(a: PolyTensor, b: PolyTensor, r: int) -> PolyTensor:
 
     Requires a.order == r; returns a PolyTensor of order b.order − r.
     """
+    _check_same_space(a.space, b.space, "partial_inner")
     if a.order != r:
         raise ValueError("partial_inner pairs the whole first argument")
     if r > b.order:

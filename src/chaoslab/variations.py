@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 REGIME_BOUNDARY_TOL = 1e-12
-A_N_LAG_CUTOFF = 1e-14
-A_N_DIRECT_MAX_LAGS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -379,31 +377,19 @@ def a_n_statistic(batch: FbmPathBatch, q: int, f: WeightFunction) -> np.ndarray:
     """The quadratic functional A_n = n^{2qH-1} q! sum_{l,j} beta_{l,j}^q f(B_l) f(B_j).
 
     Since beta_{l,j} = n^{-2H} rho(l-j), this reduces to
-    (q!/n) sum_{l,j} rho(l-j)^q f_l f_j, computed per path over the lag band
-    where |rho|^q >= 1e-14 (direct banded sums for narrow bands, one
-    ``numpy.fft`` autocorrelation per path at a 5-smooth length otherwise;
-    both exact to well below tolerance).
+    (q!/n) sum_{l,j} rho(l-j)^q f_l f_j, computed over every lag from one
+    ``numpy.fft`` autocorrelation per path at the 5-smooth length
+    ``_fast_len(2n)``.  The lag weights then meet the autocorrelations in one
+    BLAS matrix-vector product (``@``), so A_n's last bits may follow the BLAS
+    kernel.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    grid = batch.grid
-    n = grid.n
+    n = batch.grid.n
     weights = _weight_values(batch, f)
-    lag_rho = np.asarray(rho(grid.hurst, np.arange(n)), dtype=float)
-    lag_weights = lag_rho**q
-    significant = np.nonzero(np.abs(lag_weights) >= A_N_LAG_CUTOFF)[0]
-    max_lag = int(significant.max()) if significant.size else 0
-
-    if max_lag <= A_N_DIRECT_MAX_LAGS:
-        total = lag_weights[0] * (weights * weights).sum(axis=1)
-        for lag in range(1, max_lag + 1):
-            if abs(lag_weights[lag]) < A_N_LAG_CUTOFF:
-                continue
-            overlap = (weights[:, lag:] * weights[:, :-lag]).sum(axis=1)
-            total = total + 2.0 * lag_weights[lag] * overlap
-    else:
-        size = _fast_len(2 * n)
-        spectrum = np.fft.rfft(weights, size, axis=1)
-        autocorr = np.fft.irfft(np.abs(spectrum) ** 2, size, axis=1)[:, :n]
-        total = lag_weights[0] * autocorr[:, 0] + 2.0 * (autocorr[:, 1:] @ lag_weights[1:])
+    lag_weights = np.asarray(rho(batch.grid.hurst, np.arange(n)), dtype=float) ** q
+    size = _fast_len(2 * n)
+    spectrum = np.fft.rfft(weights, size, axis=1)
+    autocorr = np.fft.irfft(np.abs(spectrum) ** 2, size, axis=1)[:, :n]
+    total = lag_weights[0] * autocorr[:, 0] + 2.0 * (autocorr[:, 1:] @ lag_weights[1:])
     return np.asarray(math.factorial(q) / n * total, dtype=float).reshape(batch.m)

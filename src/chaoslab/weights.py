@@ -15,7 +15,7 @@ moment of f^(i)(B_t) that the statistics need is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -30,7 +30,7 @@ class WeightFunction:
     """A weight f with exact derivatives; evaluate with ``f(x, order)``."""
 
     kind: str
-    params: tuple[float, ...] = field(default_factory=tuple)
+    params: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -53,10 +53,6 @@ class WeightFunction:
     def polynomial(cls, *coefficients: float) -> "WeightFunction":
         """f(x) = coefficients[0] + coefficients[1] x + ..."""
         return cls("polynomial", tuple(coefficients))
-
-    @classmethod
-    def constant(cls, value: float = 1.0) -> "WeightFunction":
-        return cls.polynomial(value)
 
     @classmethod
     def cosine(cls, a: float, b: float) -> "WeightFunction":

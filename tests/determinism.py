@@ -159,7 +159,7 @@ _enter("sample_paths", _paths, {
 
 
 def a_n_fft(n):
-    """A_n of three paths at H = 0.45, where every lag is in the band: the FFT branch."""
+    """A_n of three paths at H = 0.45, by its FFT autocorrelation."""
     return a_n_statistic(sample_paths(FbmGrid(0.45, n), 3, seed=5), 2, COS)
 
 
@@ -278,7 +278,8 @@ def _identity_suite(seed, instances):
 
 
 def _cli(argv, config):
-    """sha256 of report.json without meta, version and config.out, then samples.csv."""
+    """sha256 of report.json without meta, version and config.out, then
+    samples.csv where the subcommand writes one."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out, config_path = Path(tmp) / "out", Path(tmp) / "config.json"
         config_path.write_text(config, encoding="utf-8")
@@ -287,7 +288,8 @@ def _cli(argv, config):
         payload.pop("version")
         payload["config"].pop("out")
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-        digest.update((out / "samples.csv").read_bytes())
+        if (out / "samples.csv").exists():
+            digest.update((out / "samples.csv").read_bytes())
     return digest.hexdigest()
 
 
@@ -322,6 +324,12 @@ _enter("chaoslab", _cli, {
         "15efdb2759f46dbd91f175befeea5df0b9040879cc2d65a81b58a7e977d34624",
     ("fbm --H 0.3 --n 16 --m 5 --seed 1", "{}"):
         "798d2d01087c555cd63f813e0f773cbc2939e85a9b1d204588f46a96aaae39be",
+    # the exact decomposition's components per path, and the constants table
+    # (which writes no samples.csv)
+    ("variation --q 2 --H 0.3 --n 16 --m 5 --weight cos:1,1 --decompose --seed 1", "{}"):
+        "3136cbe54901d0be178770f0b2fe6bd2558c101be7c5d449646eaccb6133ff1e",
+    ("constants --q 3 --H 0.3", "{}"):
+        "f1e7e75fa7e5613e244c7c719ae799f1409b904d1edf18cbc113e1b9fd420c3e",
 })
 
 

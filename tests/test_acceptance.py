@@ -152,7 +152,7 @@ def test_criterion_3_decomposition_identity(verdict):
                 symbolic = weight_rv
             else:
                 const = PolyTensor.from_constant_tensor(kernel)
-                field = const.map(lambda entry: entry * weight_rv)
+                field = PolyTensor(space, const.entries * weight_rv)
                 symbolic = skorohod(field, p)
             for _ in range(3):
                 w = rng.normal(size=n)

@@ -18,7 +18,7 @@ runs all seven subcommands and then the exact half in one fresh interpreter
 with every scipy import refused by a ``sys.meta_path`` finder: both samplers
 (white noise and circulant), ``berry-esseen`` at any H (Phi is a numpy port
 of ``ndtr``), the Brownian example, the exact tables, the ρ^q series, tr M⁴'s
-diagonal recursion and the FFT branch of A_n.
+diagonal recursion and A_n.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path for folder in ("src", "tests", "demos") for path in (ROOT / folder).rglob("*.py")
 )
-MAX_KNOBS = 35
+MAX_KNOBS = 32
 
 
 def _bound_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -191,7 +191,7 @@ from chaoslab.cli import main
 from chaoslab.fbm import FbmGrid, bounds_suite, sample_paths
 from chaoslab.identities import run_identity_suite
 from chaoslab.limits import chaos2_fourth_moment_exact
-from chaoslab.variations import A_N_DIRECT_MAX_LAGS, a_n_statistic, sigma_hq
+from chaoslab.variations import a_n_statistic, sigma_hq
 from chaoslab.weights import WeightFunction
 
 out, runs = sys.argv[1], json.loads(sys.argv[2])
@@ -202,9 +202,8 @@ bounds_suite(0)
 sigma_hq(0.47, 2)
 sigma_hq(0.7, 4)
 chaos2_fourth_moment_exact(0.3, 4160)  # tr M^4's FFT first row and recursion
-n = 1024  # circulant, and at H = 0.45 every lag is in the band: the FFT branch
-assert n - 1 > A_N_DIRECT_MAX_LAGS
-a_n_statistic(sample_paths(FbmGrid(0.45, n), 4, seed=0), 2, WeightFunction.cosine(1.0, 1.0))
+for n in (64, 1024):  # A_n's FFT at a short grid and a long one
+    a_n_statistic(sample_paths(FbmGrid(0.45, n), 4, seed=0), 2, WeightFunction.cosine(1.0, 1.0))
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 

@@ -1,6 +1,9 @@
 """Mixture limit laws, distribution tests, fourth-moment bounds, Brownian example."""
 
+import ast
+import inspect
 import math
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
@@ -27,7 +30,7 @@ from chaoslab.weights import WeightFunction
 
 from determinism import PINS, normal_cdf_points, sha256, ulp_neighbours
 
-ONE = WeightFunction.constant()
+ONE = WeightFunction.polynomial(1.0)
 
 
 # -- mixture limit sampler -------------------------------------------------------
@@ -305,12 +308,32 @@ def test_chaos2_dense_blocked_agree(monkeypatch):
         assert [v.hex() for v in chaos2_fourth_moment_exact(H, n)] == dense, (H, n)
 
 
-def test_chaos2_h_half_dense_bits_need_no_gemm(monkeypatch):
-    def no_gemm(*args, **kwargs):
-        raise AssertionError("GEMM called")
+_BLAS_CALLS = {"dot", "matmul", "tensordot", "einsum", "inner"}
 
-    monkeypatch.setattr(np, "matmul", no_gemm)
-    monkeypatch.setattr(np, "dot", no_gemm)
+
+def _blas_uses(source: str) -> list[str]:
+    """Each ``@`` or ``@=`` in ``source``, and each call of a function or method
+    named like one of numpy's BLAS-backed products, in ``ast.walk`` order."""
+    uses = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            uses.append("@")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in _BLAS_CALLS:
+                uses.append(name)
+    return uses
+
+
+def test_chaos2_h_half_dense_bits_need_no_gemm():
+    # tr M^4 never reaches the BLAS.  The scan reads the source because `@`
+    # calls neither np.matmul nor np.dot; tr M^2's ddot shows that it sees `@`
+    limits = chaoslab.limits
+    for function in (limits._trace_m4, limits._split, limits._two_product, limits._two_sum_error):
+        assert _blas_uses(inspect.getsource(function)) == [], function.__name__
+    assert _blas_uses(inspect.getsource(chaos2_fourth_moment_exact)) == ["@"]
+    source = "a @= b\nc = np.dot(a, b) + dot(a) + a.inner(b) * tensordot(a, b) + np.einsum('i', b) + matmul(a)\n"
+    assert sorted(_blas_uses(source)) == ["@", "dot", "dot", "einsum", "inner", "matmul", "tensordot"]
     for name, pin in PINS.items():
         if name.startswith("chaos2_fourth_moment_exact("):
             assert pin.compute() == pin.recorded, name

@@ -6,8 +6,11 @@ import pytest
 from chaoslab.malliavin import (
     PolyTensor,
     derivative,
+    expected_inner,
     multiple_integral,
     ou_generator,
+    pairwise_inner,
+    partial_inner,
     skorohod,
 )
 from chaoslab.polyrv import PolyRV, wick_expectation
@@ -17,6 +20,20 @@ from chaoslab.tensors import SymTensor
 
 def _standard(d=2):
     return GaussianSpace.standard(d)
+
+
+def test_mixed_gaussian_spaces_raise_naming_both_dimensions():
+    A, B = _standard(2), GaussianSpace(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    y0, y1 = B.basis_rv(0), B.basis_rv(1)
+    # entries from B in a tensor over A would give a wrong number silently
+    with pytest.raises(ValueError, match="dimension 2 and dimension 2"):
+        expected_inner(derivative(y0 * y1), PolyTensor(A, [y0, y1]))
+    on_a, on_c = derivative(A.basis_rv(0) * A.basis_rv(1)), derivative(_standard(3).basis_rv(0), 2)
+    for mixed in (lambda: on_a + on_c, lambda: pairwise_inner(on_a, on_c), lambda: partial_inner(on_a, on_c, 1)):
+        with pytest.raises(ValueError, match="dimension 2 and dimension 3"):
+            mixed()
+    # a space with the same Gram matrix is the same space
+    assert expected_inner(on_a, PolyTensor(_standard(2), [A.basis_rv(1), A.basis_rv(0)])) == 2.0
 
 
 def test_derivative_of_cubed_field():

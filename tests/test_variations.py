@@ -24,7 +24,7 @@ from chaoslab.weights import WeightFunction
 
 from determinism import PINS, a_n_fft, sha256
 
-ONE = WeightFunction.constant()
+ONE = WeightFunction.polynomial(1.0)
 
 
 # -- regime map ----------------------------------------------------------------
@@ -278,7 +278,7 @@ def test_closed_form_matches_exact_skorohod_oracle():
             symbolic = weight_rv
         else:
             const = PolyTensor.from_constant_tensor(kernel)
-            field = const.map(lambda entry: entry * weight_rv)
+            field = PolyTensor(space, const.entries * weight_rv)
             symbolic = skorohod(field, p)
 
         for _ in range(4):
@@ -411,9 +411,9 @@ def test_a_n_constant_weight_converges_to_sigma_sq():
     assert value == pytest.approx(target, rel=2e-2)
 
 
-def test_a_n_direct_band_matches_fft_route():
-    # H = 0.45 has a wide correlation band (FFT route); H = 0.1 a narrow one
-    # (direct route).  Cross-check both against a brute-force double loop.
+def test_a_n_matches_a_brute_force_double_sum():
+    # the FFT autocorrelation against the double sum over (l, j), at a rough
+    # H and at one near 1/2
     for H in (0.1, 0.45):
         n = 64
         batch = sample_paths(FbmGrid(H, n), 2, seed=29)

@@ -24,7 +24,7 @@ def test_polynomial_values_and_derivatives():
 
 
 def test_constant_weight():
-    f = WeightFunction.constant()
+    f = WeightFunction.polynomial(1.0)
     assert f(1.7) == 1.0
     assert f(1.7, 1) == 0.0
     assert f(np.array([0.0, 2.0]), 5).tolist() == [0.0, 0.0]
@@ -106,7 +106,7 @@ def test_parse_errors():
 
 def test_negative_derivative_order_rejected():
     with pytest.raises(ValueError):
-        WeightFunction.constant()(0.0, -1)
+        WeightFunction.polynomial(1.0)(0.0, -1)
 
 
 def test_scalar_input_returns_scalar():
