@@ -33,7 +33,7 @@ from chaoslab.malliavin import (
 )
 from chaoslab.polyrv import wick_expectation
 from chaoslab.space import GaussianSpace
-from chaoslab.tensors import SymTensor, contract
+from chaoslab.tensors import SymTensor, inner
 
 
 def main() -> None:
@@ -70,7 +70,7 @@ def main() -> None:
     i2g = multiple_integral(g2)
     print("isometry on two symmetric order-2 kernels:")
     print(f"  E[I2(f) I2(g)] = {wick_expectation(i2f * i2g):.12f}")
-    print(f"  2 <f, g>_H     = {2.0 * contract(f2, g2, 2):.12f}")
+    print(f"  2 <f, g>_H     = {2.0 * inner(f2, g2):.12f}")
     print(f"  gap            = {isometry_gap(f2, g2):.3e}")
     print()
 

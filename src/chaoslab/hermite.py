@@ -9,8 +9,12 @@ Conventions used across the package:
 Evaluation runs the Clenshaw recurrence of numpy's ``hermite_e.hermeval`` (the
 same monic "HermiteE" convention) for the coefficient vector of He_q, step
 for step in place in at most three arrays, so it returns hermeval's bits
-without its temporaries.  Basis conversions are delegated to
-:mod:`numpy.polynomial.hermite_e`.
+without its temporaries.  The port stays because it is the faster of the two
+by an order of magnitude: at q = 2 on a 16 × 4096 batch (the limit test's
+batch shape), the fastest of 400 calls took 0.51–0.54 ms in hermeval and
+0.041–0.048 ms here, a ratio of 11–13 over six rounds, with 1.5 MiB against
+0.5 MiB of peak traced memory (numpy 2.4.6, 2-CPU Xeon with AVX-512).
+Basis conversions are delegated to :mod:`numpy.polynomial.hermite_e`.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ Identities covered (with the slot conventions that make them exact):
                 pairing familiar from E[delta(u)delta(v)] =
                 E<u,v> + E[sum_{a,b} d_a u_b d_b v_a]); aligned slot-by-slot
                 pairing is wrong already at q = 1.
-- isometry:     E[I_p(f) I_q(g)] = 1{p=q} q! <sym f, sym g>.
+- isometry:     E[I_p(f) I_q(g)] = 1{p=q} q! <f, g> for symmetric kernels
+                (a SymTensor symmetrizes its coefficients on construction).
 - generator:    -delta(D F) equals the chaos-grading route -sum_q q J_q F.
 """
 
@@ -41,13 +42,14 @@ from .malliavin import (
     expected_inner,
     multiple_integral,
     ou_generator,
+    ou_generator_chaos,
     partial_inner,
     skorohod,
 )
 from .polyrv import PolyRV, wick_expectation
 from .report import TestReport
 from .space import GaussianSpace
-from .tensors import SymTensor, contract
+from .tensors import SymTensor, inner
 
 __all__ = [
     "commutation_gap",
@@ -93,10 +95,10 @@ def product_gap(F: PolyRV, u: PolyTensor) -> float:
     rhs = 0
     for r in range(q + 1):
         if r == 0:
-            inner = PolyTensor(u.space, u.entries * F)
+            paired = PolyTensor(u.space, u.entries * F)
         else:
-            inner = partial_inner(derivative(F, r), u, r)
-        term = skorohod(inner, q - r) if q - r >= 1 else inner.entries.item()
+            paired = partial_inner(derivative(F, r), u, r)
+        term = skorohod(paired, q - r) if q - r >= 1 else paired.entries.item()
         rhs = rhs + term * float(math.comb(q, r))
     return (lhs - rhs).max_abs_coeff()
 
@@ -158,11 +160,10 @@ def covariance_gap(u: PolyTensor, v: PolyTensor) -> float:
 
 
 def isometry_gap(f: SymTensor, g: SymTensor) -> float:
-    """|E[I_p(f) I_q(g)] - 1{p=q} q! <sym f, sym g>|."""
+    """|E[I_p(f) I_q(g)] - 1{p=q} q! <f, g>| for symmetric kernels f and g."""
     lhs = wick_expectation(multiple_integral(f) * multiple_integral(g))
     if f.order == g.order:
-        q = f.order
-        rhs = math.factorial(q) * float(contract(f.symmetrize(), g.symmetrize(), q))
+        rhs = math.factorial(f.order) * inner(f, g)
     else:
         rhs = 0.0
     return abs(lhs - rhs)
@@ -170,9 +171,7 @@ def isometry_gap(f: SymTensor, g: SymTensor) -> float:
 
 def generator_gap(F: PolyRV) -> float:
     """Max coefficient gap between -delta(DF) and the chaos-grading OU generator."""
-    via_divergence = ou_generator(F, method="divergence")
-    via_chaos = ou_generator(F, method="chaos")
-    return (via_divergence - via_chaos).max_abs_coeff()
+    return (ou_generator(F) - ou_generator_chaos(F)).max_abs_coeff()
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +218,7 @@ def _random_field(
 
 
 def _random_sym_tensor(rng: np.random.Generator, space: GaussianSpace, order: int) -> SymTensor:
-    coeffs = rng.normal(size=(space.dim,) * order)
-    return SymTensor(space, coeffs).symmetrize()
+    return SymTensor(space, rng.normal(size=(space.dim,) * order))
 
 
 def run_identity_suite(

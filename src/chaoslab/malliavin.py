@@ -12,12 +12,12 @@ Conventions (all on the orthonormal coordinates Z_0..Z_{d−1} of a
 * Divergence ``δ`` contracts the *last* slot:
   δ(u)[idx] = Σ_b ( u[idx+(b,)]·Z_b − ∂_b u[idx+(b,)] ),
   and δ^q iterates this slot by slot.
-* ``multiple_integral`` maps a symmetric order-q kernel to the q-th chaos via
-  monic Hermite products: the ON multi-index with multiplicities (m_1..m_d)
-  maps to Π_a He_{m_a}(Z_a).
-* ``ou_generator`` returns L F, computed either as −δ(DF) or through the
-  chaos expansion L = −Σ_q q·J_q; the two routes agree identically and that
-  agreement is a standing test invariant.
+* ``multiple_integral`` maps a :class:`~chaoslab.tensors.SymTensor` (a
+  symmetric order-q kernel) to the q-th chaos via monic Hermite products: the
+  ON multi-index with multiplicities (m_1..m_d) maps to Π_a He_{m_a}(Z_a).
+* The OU generator L F has two routes: ``ou_generator`` computes −δ(DF), and
+  ``ou_generator_chaos`` grades the chaos expansion, L = −Σ_q q·J_q.  The two
+  agree identically, and that agreement is a standing test invariant.
 
 These operators satisfy, exactly (up to float rounding), the classical
 identities: duality E[F·δ^q(u)] = E[⟨D^qF, u⟩]; the product formula
@@ -29,6 +29,7 @@ E[δ^q(u)δ^q(v)] = Σ_i C(q,i)²·i!·E[⟨D^{q−i}u, D^{q−i}v⟩].
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -58,7 +59,7 @@ class PolyTensor:
                 raise TypeError("entries must be PolyRV objects")
             # an identity test first: the spaces of one computation are one object
             if entry.space is not space:
-                _check_same_space(space, entry.space, "PolyTensor construction")
+                space.check_same(entry.space, "PolyTensor construction")
         self.space = space
         self.entries = arr
 
@@ -73,7 +74,7 @@ class PolyTensor:
         return cls(space, _each(lambda c: PolyRV.constant(space, c), _to_onb_coeffs(tensor)))
 
     def __add__(self, other: "PolyTensor") -> "PolyTensor":
-        _check_same_space(self.space, other.space, "PolyTensor addition")
+        self.space.check_same(other.space, "PolyTensor addition")
         if self.entries.shape != other.entries.shape:
             raise ValueError("order mismatch")
         return PolyTensor(self.space, self.entries + other.entries)
@@ -96,15 +97,6 @@ class PolyTensor:
 
     def __repr__(self):
         return f"PolyTensor(dim={self.space.dim}, order={self.order})"
-
-
-def _check_same_space(space, other, what: str) -> None:
-    """Raise unless ``other`` is ``space`` or has its Gram matrix."""
-    if not space.same_as(other):
-        raise ValueError(
-            f"{what} mixes Gaussian spaces: dimension {space.dim} and dimension {other.dim}, "
-            "with different Gram matrices"
-        )
 
 
 def _each(fn, *arrays):
@@ -189,7 +181,7 @@ def _skorohod_once(u: PolyTensor) -> PolyTensor:
 
 def pairwise_inner(a: PolyTensor, b: PolyTensor) -> PolyRV:
     """Full inner product over all slots (ON coordinates, identity metric)."""
-    _check_same_space(a.space, b.space, "pairwise_inner")
+    a.space.check_same(b.space, "pairwise_inner")
     if a.entries.shape != b.entries.shape:
         raise ValueError("order mismatch in tensor pairing")
     return np.add.reduce(np.ravel(a.entries * b.entries))
@@ -200,7 +192,7 @@ def partial_inner(a: PolyTensor, b: PolyTensor, r: int) -> PolyTensor:
 
     Requires a.order == r; returns a PolyTensor of order b.order − r.
     """
-    _check_same_space(a.space, b.space, "partial_inner")
+    a.space.check_same(b.space, "partial_inner")
     if a.order != r:
         raise ValueError("partial_inner pairs the whole first argument")
     if r > b.order:
@@ -213,21 +205,29 @@ def partial_inner(a: PolyTensor, b: PolyTensor, r: int) -> PolyTensor:
 
 # -- multiple Wiener–Itô integral ----------------------------------------------
 
+_he_coeffs = functools.cache(hermite_monomial_coeffs)
+
+
+def _hermite_product(space, degrees, lead: float) -> PolyRV:
+    """lead · Π_a He_{k_a}(Z_a): the constant first, then the factors in ascending a."""
+    term = PolyRV.constant(space, lead)
+    for a, k in enumerate(degrees):
+        if k:
+            term = term * PolyRV.from_univariate(_he_coeffs(k), PolyRV.coordinate(space, a))
+    return term
+
 
 def multiple_integral(f: SymTensor) -> PolyRV:
-    """I_q(f) in the monic convention; symmetrizes the kernel if needed.
+    """I_q(f) in the monic convention; the kernel is symmetric by construction.
 
-    Satisfies the isometry E[I_p(f)I_q(g)] = 1{p=q}·q!·⟨f̃, g̃⟩.
+    Satisfies the isometry E[I_p(f)I_q(g)] = 1{p=q}·q!·⟨f, g⟩.
     """
     space = f.space
-    if not f.symmetric:
-        f = f.symmetrize()
     q = f.order
     if q == 0:
         return PolyRV.constant(space, float(f.coeffs))
     g = _to_onb_coeffs(f)
     d = space.dim
-    he_cache = {j: hermite_monomial_coeffs(j) for j in range(q + 1)}
     total = PolyRV.constant(space, 0.0)
     for idx in itertools.combinations_with_replacement(range(d), q):
         coeff = float(g[idx])
@@ -237,29 +237,22 @@ def multiple_integral(f: SymTensor) -> PolyRV:
         for i in idx:
             counts[i] += 1
         mult = math.factorial(q)
-        term = PolyRV.constant(space, 1.0)
-        for a, m_a in enumerate(counts):
-            if m_a == 0:
-                continue
+        for m_a in counts:
             mult //= math.factorial(m_a)
-            term = term * PolyRV.from_univariate(he_cache[m_a], PolyRV.coordinate(space, a))
-        total = total + term * (coeff * mult)
+        total = total + _hermite_product(space, counts, 1.0) * (coeff * mult)
     return total
 
 
 # -- Ornstein–Uhlenbeck generator ----------------------------------------------
 
 
-def ou_generator(F: PolyRV, method: str = "divergence") -> PolyRV:
-    """L F.  method='divergence' computes −δ(DF); 'chaos' uses L = −Σ_q q·J_q."""
-    if method == "divergence":
-        return -skorohod(derivative(F, 1), 1)
-    if method == "chaos":
-        return _ou_via_chaos(F)
-    raise ValueError("method must be 'divergence' or 'chaos'")
+def ou_generator(F: PolyRV) -> PolyRV:
+    """L F = −δ(DF)."""
+    return -skorohod(derivative(F, 1), 1)
 
 
-def _ou_via_chaos(F: PolyRV) -> PolyRV:
+def ou_generator_chaos(F: PolyRV) -> PolyRV:
+    """L F = −Σ_q q·J_q F, by grading F's Hermite expansion."""
     space = F.space
     d = space.dim
     # Expand every monomial into products of monic Hermite polynomials,
@@ -283,19 +276,11 @@ def _ou_via_chaos(F: PolyRV) -> PolyRV:
             he_terms[key] = he_terms.get(key, 0.0) + c
     # scale by −q and convert back to the monomial basis
     out = PolyRV.constant(space, 0.0)
-    he_cache: dict[int, np.ndarray] = {}
     for key, c in he_terms.items():
         qtot = sum(key)
         if qtot == 0 or c == 0.0:
             continue
-        term = PolyRV.constant(space, -qtot * c)
-        for a, j in enumerate(key):
-            if j == 0:
-                continue
-            if j not in he_cache:
-                he_cache[j] = hermite_monomial_coeffs(j)
-            term = term * PolyRV.from_univariate(he_cache[j], PolyRV.coordinate(space, a))
-        out = out + term
+        out = out + _hermite_product(space, key, -qtot * c)
     return out
 
 

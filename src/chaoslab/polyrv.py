@@ -90,14 +90,11 @@ class PolyRV:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_space(self, other: "PolyRV") -> None:
-        if not self.space.same_as(other.space):
-            raise ValueError("PolyRV operands live on different spaces")
-
     def __add__(self, other):
         if not isinstance(other, PolyRV):
             other = PolyRV.constant(self.space, other)
-        self._check_same_space(other)
+        elif other.space is not self.space:  # the identity test first: this runs per PolyRV
+            self.space.check_same(other.space, "PolyRV addition")
         out = dict(self.terms)
         for expo, c in other.terms.items():
             out[expo] = out.get(expo, 0.0) + c
@@ -115,7 +112,8 @@ class PolyRV:
         if not isinstance(other, PolyRV):
             out = {e: c * float(other) for e, c in self.terms.items()}
             return PolyRV(self.space, out)
-        self._check_same_space(other)
+        if other.space is not self.space:
+            self.space.check_same(other.space, "PolyRV product")
         out: dict[tuple[int, ...], float] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

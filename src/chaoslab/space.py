@@ -71,9 +71,17 @@ class GaussianSpace:
     def standard(cls, d: int) -> "GaussianSpace":
         return cls(np.eye(d))
 
-    def same_as(self, other: "GaussianSpace") -> bool:
-        """True when ``other`` is this space or has an equal Gram matrix."""
-        return other is self or np.array_equal(self.gram, other.gram)
+    def check_same(self, other: "GaussianSpace", what: str) -> None:
+        """Raise unless ``other`` is this space or has an equal Gram matrix.
+
+        The one check that keeps objects from different Gaussian spaces from
+        mixing; ``what`` names the operation in the message.
+        """
+        if other is not self and not np.array_equal(self.gram, other.gram):
+            raise ValueError(
+                f"{what} mixes different spaces: dimension {self.dim} and dimension "
+                f"{other.dim}, with different Gram matrices"
+            )
 
     # -- geometry ----------------------------------------------------------
 

@@ -12,7 +12,14 @@ its public functions and methods plus the field defaults of its public
 dataclasses and NamedTuples ("public" meaning no leading underscore).  A
 change that adds an option raises ``MAX_KNOBS`` in its own diff.
 
-scipy is no dependency, not even of the tests: a third scan finds no
+The third is a ratchet on public code that only tests call: every public
+function, class and method of ``src/chaoslab`` must be named (read as a
+name or an attribute) by some package module outside its own definition, or
+sit in ``ONLY_TESTS_CALL`` with a reason.  ``__all__`` entries and imports
+do not count as uses.  Names are matched by their last component, so a
+method shares its use with any attribute of that name.
+
+scipy is no dependency, not even of the tests: a fourth scan finds no
 module that imports scipy or asks ``importorskip`` for it.  The last test
 runs all seven subcommands and then the exact half in one fresh interpreter
 with every scipy import refused by a ``sys.meta_path`` finder: both samplers
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,7 +41,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path for folder in ("src", "tests", "demos") for path in (ROOT / folder).rglob("*.py")
 )
-MAX_KNOBS = 32
+MAX_KNOBS = 31
+# public definitions no package module names, each with why it stays
+ONLY_TESTS_CALL = {
+    "experiments.riemann_comparison": "acceptance criterion 6",
+    "variations.a_n_statistic": "the demos",
+    "fbm.load_paths": "the FBMPATH1 reader, the inverse of the CLI's writer",
+    "report.without_meta": "the deterministic projection of a report that reruns compare",
+    "fbm.FbmGrid.increment_covariance": "a test fixture",
+    "space.GaussianSpace.basis_rv": "a test fixture",
+    "malliavin.PolyTensor.from_constant_tensor": "a test fixture",
+}
 
 
 def _bound_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -149,6 +167,59 @@ def test_the_knob_count_covers_functions_methods_and_record_fields():
         "    u: int = 0\n"
     )
     assert _knobs(ast.parse(source)) == ["f", "f", "R.y", "R.h", "T.w"]
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often each name is read, as a name or as an attribute, inside ``node``."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+    return found
+
+
+def _unnamed_public(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` (``module.Class.method``) of each public definition that no
+    module names outside the definition itself."""
+    total = sum((_uses(tree) for tree in trees.values()), Counter())
+    unnamed = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            definitions = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                definitions += [(item, f"{node.name}.{item.name}") for item in node.body
+                                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+            for definition, qualname in definitions:
+                if total[definition.name] == _uses(definition)[definition.name]:
+                    unnamed.append(f"{module}.{qualname}")
+    return unnamed
+
+
+def test_only_the_listed_public_names_go_unused_by_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "chaoslab").glob("*.py"))}
+    assert sorted(_unnamed_public(trees)) == sorted(ONLY_TESTS_CALL)
+
+
+def test_the_public_name_scan_flags_a_function_only_a_test_calls():
+    trees = {
+        "lib": ast.parse(
+            "__all__ = ['only_tested']\n"
+            "def only_tested(n):\n"
+            "    return only_tested(n - 1) if n else 0\n"
+            "def used(): pass\n"
+            "def _private(): pass\n"
+            "class Box:\n"
+            "    def called(self): pass\n"
+            "    def never(self): pass\n"
+        ),
+        "app": ast.parse("from lib import Box, only_tested, used\nused()\nBox().called()\n"),
+    }
+    assert _unnamed_public(trees) == ["lib.only_tested", "lib.Box.never"]
 
 
 def _scipy_imports(tree: ast.Module) -> list[int]:

@@ -9,13 +9,14 @@ from chaoslab.malliavin import (
     expected_inner,
     multiple_integral,
     ou_generator,
+    ou_generator_chaos,
     pairwise_inner,
     partial_inner,
     skorohod,
 )
 from chaoslab.polyrv import PolyRV, wick_expectation
 from chaoslab.space import GaussianSpace
-from chaoslab.tensors import SymTensor
+from chaoslab.tensors import SymTensor, inner
 
 
 def _standard(d=2):
@@ -31,6 +32,12 @@ def test_mixed_gaussian_spaces_raise_naming_both_dimensions():
     on_a, on_c = derivative(A.basis_rv(0) * A.basis_rv(1)), derivative(_standard(3).basis_rv(0), 2)
     for mixed in (lambda: on_a + on_c, lambda: pairwise_inner(on_a, on_c), lambda: partial_inner(on_a, on_c, 1)):
         with pytest.raises(ValueError, match="dimension 2 and dimension 3"):
+            mixed()
+    # the PolyRV arithmetic and the kernel pairing check their spaces the same way
+    x0, z0 = A.basis_rv(0), _standard(3).basis_rv(0)
+    kernel_a, kernel_c = SymTensor(A, np.eye(2)), SymTensor(_standard(3), np.eye(3))
+    for mixed in (lambda: x0 + z0, lambda: x0 * z0, lambda: inner(kernel_a, kernel_c)):
+        with pytest.raises(ValueError, match="different spaces: dimension 2 and dimension 3"):
             mixed()
     # a space with the same Gram matrix is the same space
     assert expected_inner(on_a, PolyTensor(_standard(2), [A.basis_rv(1), A.basis_rv(0)])) == 2.0
@@ -159,7 +166,7 @@ def test_multiple_integral_off_diagonal():
 def test_multiple_integral_symmetrizes_with_flag():
     space = _standard(2)
     coeffs = np.zeros((2, 2))
-    coeffs[0, 1] = 1.0  # asymmetric input
+    coeffs[0, 1] = 1.0  # asymmetric input: the kernel stores its symmetrization
     F = multiple_integral(SymTensor(space, coeffs))
     z1 = PolyRV.coordinate(space, 0)
     z2 = PolyRV.coordinate(space, 1)
@@ -171,17 +178,15 @@ def test_multiple_integral_isometry_random():
     space = GaussianSpace([[1.0, 0.3], [0.3, 1.0]])
     import math
 
-    from chaoslab.tensors import contract
-
     for q in (1, 2, 3):
-        f = SymTensor(space, rng.normal(size=(2,) * q)).symmetrize()
-        g = SymTensor(space, rng.normal(size=(2,) * q)).symmetrize()
+        f = SymTensor(space, rng.normal(size=(2,) * q))
+        g = SymTensor(space, rng.normal(size=(2,) * q))
         lhs = wick_expectation(multiple_integral(f) * multiple_integral(g))
-        rhs = math.factorial(q) * contract(f, g, q)
+        rhs = math.factorial(q) * inner(f, g)
         assert lhs == pytest.approx(rhs, abs=1e-10)
     # cross order: orthogonal chaoses
     f1 = SymTensor(space, rng.normal(size=(2,)))
-    g2 = SymTensor(space, rng.normal(size=(2, 2))).symmetrize()
+    g2 = SymTensor(space, rng.normal(size=(2, 2)))
     assert wick_expectation(multiple_integral(f1) * multiple_integral(g2)) == pytest.approx(
         0.0, abs=1e-12
     )
@@ -208,14 +213,8 @@ def test_ou_generator_routes_agree():
             expo = tuple(int(e) for e in rng.integers(0, 3, size=3))
             terms[expo] = float(rng.normal())
         F = PolyRV(space, terms)
-        gap = ou_generator(F, method="divergence") - ou_generator(F, method="chaos")
+        gap = ou_generator(F) - ou_generator_chaos(F)
         assert gap.max_abs_coeff() <= 1e-9
-
-
-def test_ou_generator_method_validation():
-    space = _standard(1)
-    with pytest.raises(ValueError):
-        ou_generator(PolyRV.coordinate(space, 0), method="spectral")
 
 
 def test_duality_single_instance():
