@@ -192,6 +192,8 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError("H must lie in (0, 1)")
     if config["m"] < 0:
         raise ConfigError("m must be >= 0")
+    if not config["n"]:
+        raise ConfigError("n must list at least one positive integer")
     if any(v <= 0 for v in config["n"]):
         raise ConfigError("n values must be positive")
     if config["normalization"] not in NORMALIZATIONS:

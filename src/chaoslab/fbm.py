@@ -14,11 +14,12 @@ stationary autocovariance, which is non-negative definite at every H.
 ``map_paths`` is the one path loop: it builds the plan for ``grid`` once,
 then draws, transforms and hands over the paths of one
 ``rng.slab_rows(row)``-row RNG slab at a time on every thread of the block
-pool of ``rng.map_slabs``, each block drawn once.  A white-noise slab is scaled elementwise; a circulant slab is transformed by
-``numpy.fft`` in place in one reused buffer per pool thread, so its working
-set stays in cache at any n.  ``sample_paths`` is its consumer that fills
-one array.  Both plans run on numpy alone, and no sampled bit passes
-through a BLAS call, so paths do not depend on the BLAS thread count.
+pool of ``rng.map_slabs``, each block drawn once.  A white-noise slab is
+scaled elementwise; a circulant slab is transformed by ``numpy.fft`` in
+place in one reused buffer per pool thread, so its working set stays in
+cache at any n.  ``sample_paths`` is its consumer that fills one array.
+Both plans run on numpy alone, and no sampled bit passes through a BLAS
+call, so paths do not depend on the BLAS thread count.
 
 Grid conventions: n increments of the interval [0,1]; levels are B_{k/n} for
 k = 0..n (B_0 = 0); increment k is B_{(k+1)/n} - B_{k/n} with variance
@@ -28,6 +29,7 @@ n^{-2H}.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +42,6 @@ import numpy as np
 
 from .report import TestReport
 from .rng import derive_seed, map_slabs, slab_rows, worker_count
-from .rng import normal_rows  # noqa: F401  (bound here for perfbench's tracer test)
 
 __all__ = [
     "FbmGrid",
@@ -254,9 +255,13 @@ class FbmGrid:
 
     def __post_init__(self) -> None:
         _check_hurst(self.hurst)
-        if int(self.n) < 1:
-            raise ValueError(f"need n >= 1 increments, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        # numpy integers pass; 4.5 is not truncated to 4, nor True taken for 1
+        if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
+            raise ValueError(f"n must be an integer number of increments, got {self.n!r}")
+        n = operator.index(self.n)
+        if n < 1:
+            raise ValueError(f"need n >= 1 increments, got {n}")
+        object.__setattr__(self, "n", n)
 
     def increment_covariance(self) -> np.ndarray:
         """Dense n x n covariance of the increments (Toeplitz in the lag)."""

@@ -20,13 +20,13 @@ shift at the lower critical point.  This module provides:
   like the experiments it returns ``(TestReport, arrays)``.
 
 fBm paths are reduced batch by batch by consumers of
-:func:`chaoslab.fbm.map_paths`, and the Brownian example's raw normals slab by
-slab with :func:`chaoslab.rng.map_slabs`, the thread pool under both.  Slabs
-of long rows are capped in bytes (``rng.SLAB_BYTES``), so memory does not
-grow with the grid size.  Each consumer writes its replicas' rows of
-preallocated arrays, and every replica draws counter-based randomness
-addressed by its index, so results are reproducible bit-for-bit whatever
-the thread count.
+:func:`chaoslab.fbm.map_paths`, and the mixing normals and the Brownian
+example's raw normals slab by slab with :func:`chaoslab.rng.map_slabs`, the
+thread pool under both.  Slabs of long rows are capped in bytes
+(``rng.SLAB_BYTES``), so memory does not grow with the grid size.  Each
+consumer writes its replicas' rows of preallocated arrays, and every replica
+draws counter-based randomness addressed by its index, so results are
+reproducible bit-for-bit whatever the thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .fbm import FbmGrid, FbmPathBatch, map_paths, rho
 from .report import TestReport
-from .rng import derive_seed, map_slabs, normal_rows, slab_rows
+from .rng import derive_seed, map_slabs, slab_rows
 from .weights import WeightFunction
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
 CHAOS2_MAX_N = 1 << 16
 KS_ALPHA = 0.01
 KOLMOGOROV_TERMS = 100  # terms of the asymptotic Kolmogorov tail series
+KOLMOGOROV_DUAL_BELOW = 0.2  # below this lam the tail comes from the theta dual
 CF_LAMBDAS = (0.5, 1.0, 2.0)
 CF_THRESHOLD = 4.0  # in Monte Carlo standard errors
 MIN_N_FINE = 1024  # finest grid the limit sampler accepts
@@ -128,7 +129,12 @@ def sample_mixture_limit(spec: MixtureSpec, m: int, seed: int) -> MixtureSample:
             )
 
     map_paths(grid, m, seed, consume)
-    z = normal_rows(derive_seed(seed, "mixture-z"), 0, m, 1)[:, 0]
+    z = np.empty(m)
+
+    def fill(start: int, slab: np.ndarray) -> None:
+        z[start : start + len(slab)] = slab[:, 0]
+
+    map_slabs(derive_seed(seed, "mixture-z"), 1, m, fill)
     values = shifts + np.sqrt(variances) * z
     return MixtureSample(values=values, conditional_variances=variances, shifts=shifts)
 
@@ -146,9 +152,17 @@ def ks_critical_value(n1: int, n2: int, alpha: float) -> float:
 
 def kolmogorov_pvalue(lam: float) -> float:
     """Asymptotic Kolmogorov tail Q(lam) = 2 sum_{j>=1} (-1)^{j-1} e^{-2 j^2 lam^2},
-    summed over the first ``KOLMOGOROV_TERMS`` terms."""
+    summed over the first ``KOLMOGOROV_TERMS`` terms.
+
+    Below ``KOLMOGOROV_DUAL_BELOW`` that series has not converged by then, so
+    Q comes from its Jacobi theta dual, 1 - (sqrt(2 pi)/lam) sum_{k>=1}
+    e^{-(2k-1)^2 pi^2 / (8 lam^2)}, whose fourth term is below 1e-300 there.
+    """
     if lam <= 0:
         return 1.0
+    if lam < KOLMOGOROV_DUAL_BELOW:
+        tail = sum(math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * lam**2)) for k in (1, 2, 3))
+        return 1.0 - math.sqrt(2.0 * math.pi) / lam * tail
     j = np.arange(1, KOLMOGOROV_TERMS + 1)
     series = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j**2 * lam**2))
     return float(min(1.0, max(0.0, series)))

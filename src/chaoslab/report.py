@@ -25,7 +25,6 @@ __all__ = [
     "canonical_json",
     "report_payload",
     "version_string",
-    "without_meta",
     "write_json",
 ]
 
@@ -146,16 +145,3 @@ def report_payload(
         "reports": [r.to_dict() for r in reports],
         "meta": _jsonable(dict(meta or {})),
     }
-
-
-def without_meta(payload: Any) -> Any:
-    """Recursively drop ``meta`` blocks, leaving only the deterministic content.
-
-    Repeating a run with the same config and seed must reproduce this
-    projection byte-for-byte (timestamps and runtimes live only in ``meta``).
-    """
-    if isinstance(payload, Mapping):
-        return {k: without_meta(v) for k, v in payload.items() if k != "meta"}
-    if isinstance(payload, (list, tuple)):
-        return [without_meta(v) for v in payload]
-    return payload

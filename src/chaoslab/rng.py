@@ -14,17 +14,15 @@ counter-based Philox streams addressed by row blocks:
   works in cache even when rows are long.  The generator fills its rows in
   the same order whatever the slab height, so the slab height changes no
   number;
-- :func:`normal_rows` serves rows [start, start+count) by drawing the covered
-  slabs (and the slabs before them in the first block) and slicing, so any
-  chunking of a batch yields identical rows.
-- :func:`map_slabs` hands the ``slab_rows(row_len)``-row slabs of rows
-  [0, rows) to a consumer on a pool of at most ``worker_count()`` threads,
-  one block per task.  Rows of at most 512 normals (``SLAB_BYTES`` over
-  ``SLAB_ROWS`` doubles) get full ``SLAB_ROWS``-row slabs.  A block's slabs
-  come from its own generator, drawn in order on one thread into one buffer,
-  so every slab holds the same numbers whatever the thread count or the
+- :func:`map_slabs` hands disjoint RNG blocks to a consumer, slab by slab,
+  on a pool of at most ``worker_count()`` threads, one block per task.  Rows
+  of at most 512 normals (``SLAB_BYTES`` over ``SLAB_ROWS`` doubles) get
+  full ``SLAB_ROWS``-row slabs.  A block's slabs come from its own
+  generator, drawn in order on one thread into one buffer, so every slab
+  holds the same numbers whatever the thread count, the row count or the
   order in which blocks finish; consumers write disjoint rows of their
-  outputs.  :func:`fbm.map_paths` and the Brownian example run on it.
+  outputs.  It is the one reader of the stream: :func:`fbm.map_paths`, the
+  mixture sampler's mixing normals and the Brownian example run on it.
 
 Distinct consumers derive independent stream seeds from the master seed with
 :func:`derive_seed` using a string label, so adding a consumer never perturbs
@@ -36,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +44,6 @@ __all__ = [
     "SLAB_ROWS",
     "derive_seed",
     "map_slabs",
-    "normal_rows",
     "slab_rows",
     "worker_count",
 ]
@@ -81,15 +78,6 @@ def slab_rows(row_len: int) -> int:
     return rows
 
 
-def _block_slabs(key: int, block: int, row_len: int, rows: int, out=None) -> Iterator[np.ndarray]:
-    """The ``rows``-row slabs of one block, drawn lazily in order by the block's
-    own generator; with ``out``, each into that array, so a slab lasts until
-    the next is drawn.  ``rows`` must divide ``BLOCK_ROWS``."""
-    gen = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
-    for _ in range(BLOCK_ROWS // rows):
-        yield gen.standard_normal((rows, row_len), out=out)
-
-
 def map_slabs(
     seed: int,
     row_len: int,
@@ -115,37 +103,15 @@ def map_slabs(
     key = _stream_key(seed)
 
     def run(block: int) -> None:
-        start = block * BLOCK_ROWS
-        for slab in _block_slabs(key, block, row_len, height, np.empty((height, row_len))):
+        gen = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
+        slab = np.empty((height, row_len))
+        for start in range(block * BLOCK_ROWS, min(rows, (block + 1) * BLOCK_ROWS), height):
+            gen.standard_normal((height, row_len), out=slab)
             consume(start, slab[: rows - start])
-            start += height
-            if start >= rows:
-                return
 
     with ThreadPoolExecutor(min(worker_count(), blocks)) as pool:
         for _ in pool.map(run, range(blocks)):
             pass
-
-
-def normal_rows(seed: int, start: int, count: int, row_len: int) -> np.ndarray:
-    """Rows [start, start+count) of an infinite matrix of standard normals.
-
-    Row i depends only on ``(seed, i, row_len)``; any partition of a row range
-    into calls returns the same values.
-    """
-    if start < 0 or count < 0 or row_len <= 0:
-        raise ValueError("need start >= 0, count >= 0, row_len >= 1")
-    out = np.empty((count, row_len))
-    key = _stream_key(seed)
-    height = slab_rows(row_len)
-    stop = start + count
-    for block in range(start // BLOCK_ROWS, -(-stop // BLOCK_ROWS)):
-        bases = range(block * BLOCK_ROWS, stop, height)
-        for base, slab in zip(bases, _block_slabs(key, block, row_len, height)):
-            lo, hi = max(start, base), min(stop, base + height)
-            if lo < hi:
-                out[lo - start : hi - start] = slab[lo - base : hi - base]
-    return out
 
 
 def worker_count() -> int:

@@ -19,7 +19,7 @@ import math
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from chaoslab.identities import run_identity_suite
 from chaoslab.limits import (
     MixtureSpec, berry_esseen_check, brownian_example_run, chaos2_fourth_moment_exact, sample_mixture_limit
 )
-from chaoslab.report import without_meta
 from chaoslab.variations import a_n_statistic, sigma_hq
 from chaoslab.weights import WeightFunction
 
@@ -68,6 +67,19 @@ def ulp_neighbours(a: float, k: int = 64) -> np.ndarray:
     """The positive ``a`` and its ``k`` float64 neighbours on each side."""
     return (np.float64(a).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
 
+
+
+def without_meta(payload: Any) -> Any:
+    """Recursively drop ``meta`` blocks, leaving only the deterministic content.
+
+    Repeating a run with the same config and seed must reproduce this
+    projection byte-for-byte (timestamps and runtimes live only in ``meta``).
+    """
+    if isinstance(payload, Mapping):
+        return {k: without_meta(v) for k, v in payload.items() if k != "meta"}
+    if isinstance(payload, (list, tuple)):
+        return [without_meta(v) for v in payload]
+    return payload
 
 # -- fBm: the rho^q series, the circulant plan and sampled paths ---------------
 

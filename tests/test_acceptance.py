@@ -31,11 +31,13 @@ from chaoslab.limits import (
 )
 from chaoslab.malliavin import PolyTensor, skorohod
 from chaoslab.polyrv import PolyRV
-from chaoslab.report import canonical_json, without_meta
+from chaoslab.report import canonical_json
 from chaoslab.space import GaussianSpace
 from chaoslab.tensors import SymTensor
 from chaoslab.variations import full_variation, skorohod_weighted_closed_form
 from chaoslab.weights import WeightFunction
+
+from determinism import without_meta
 
 # Expensive runs shared between their own criterion and the determinism
 # criterion (which repeats them from scratch and compares bytes).

@@ -16,7 +16,9 @@ import chaoslab.cli
 import chaoslab.report
 from chaoslab.cli import main
 from chaoslab.fbm import FbmGrid, load_paths, sample_paths
-from chaoslab.report import canonical_json, without_meta
+from chaoslab.report import canonical_json
+
+from determinism import without_meta
 
 
 def _read_report(out_dir):
@@ -349,6 +351,8 @@ def _run_with_config(tmp_path, argv, config):
         (["example-brownian", "--n", "4", "--m", "8"], {"resolution": 0}, "resolution"),
         (["identities"], {"tolerance": -1}, "tolerance"),
         (["identities"], {"tolerance": 0}, "tolerance"),
+        # the --n flag rejects an empty list too; neither runs zero sizes
+        (["berry-esseen"], {"n": []}, "n must list at least one positive integer"),
     ],
 )
 def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, argv, config, key):

@@ -188,6 +188,11 @@ def test_grid_validation():
         FbmGrid(0.3, 0)
     with pytest.raises(ValueError):
         FbmGrid(1.2, 4)
+    for n in (4.5, 4.0, True, "4"):  # none is truncated or cast to a grid size
+        with pytest.raises(ValueError, match=f"got {n!r}"):
+            FbmGrid(0.3, n)
+    grid = FbmGrid(0.3, np.int64(16))
+    assert grid.n == 16 and type(grid.n) is int
 
 
 def test_increment_covariance_matrix():

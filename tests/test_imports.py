@@ -20,7 +20,9 @@ do not count as uses.  Names are matched by their last component, so a
 method shares its use with any attribute of that name.
 
 scipy is no dependency, not even of the tests: a fourth scan finds no
-module that imports scipy or asks ``importorskip`` for it.  The last test
+module that imports scipy or asks ``importorskip`` for it.  A fifth keeps
+one reader of the random stream: outside the tests, only ``rng.map_slabs``
+names ``Philox`` in code, once.  The last test
 runs all seven subcommands and then the exact half in one fresh interpreter
 with every scipy import refused by a ``sys.meta_path`` finder: both samplers
 (white noise and circulant), ``berry-esseen`` at any H (Phi is a numpy port
@@ -47,9 +49,8 @@ ONLY_TESTS_CALL = {
     "experiments.riemann_comparison": "acceptance criterion 6",
     "variations.a_n_statistic": "the demos",
     "fbm.load_paths": "the FBMPATH1 reader, the inverse of the CLI's writer",
-    "report.without_meta": "the deterministic projection of a report that reruns compare",
     "fbm.FbmGrid.increment_covariance": "a test fixture",
-    "space.GaussianSpace.basis_rv": "a test fixture",
+    "space.GaussianSpace.basis_rv": "the README quick tour and demos/identity_showcase.py",
     "malliavin.PolyTensor.from_constant_tensor": "a test fixture",
 }
 
@@ -244,6 +245,30 @@ def test_no_source_imports_scipy():
     name = "scipy.special"  # not spelled inside the call, so a grep for the guarded calls stays empty
     source = f'import scipy.fft\nfrom scipy import linalg\nimportorskip({name!r})\nx = "import scipy"\n'
     assert _scipy_imports(ast.parse(source)) == [1, 2, 3]
+
+
+def _philox_lines(tree: ast.AST) -> list[int]:
+    """The lines whose code names ``Philox``: as a name, an attribute or an import."""
+    return [node.lineno for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) == "Philox"]
+
+
+def test_only_map_slabs_builds_a_philox_generator():
+    found = {str(path.relative_to(ROOT)): _philox_lines(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES if path.parts[len(ROOT.parts)] != "tests"}
+    assert {path: lines for path, lines in found.items() if lines}.keys() == {"src/chaoslab/rng.py"}
+    tree = ast.parse((ROOT / "src" / "chaoslab" / "rng.py").read_text(encoding="utf-8"))
+    map_slabs = next(node for node in tree.body if getattr(node, "name", None) == "map_slabs")
+    assert len(_philox_lines(tree)) == 1 and _philox_lines(map_slabs) == _philox_lines(tree)
+    source = (
+        'from numpy.random import Philox\n'
+        'import numpy as np\n'
+        'gen = np.random.Generator(np.random.Philox(key=1))\n'
+        'def f():\n'
+        '    """A Philox docstring is no use."""\n'
+        '    return "Philox"\n'
+    )
+    assert _philox_lines(ast.parse(source)) == [1, 3]
 
 
 _SCIPY_PROBE = """

@@ -176,6 +176,20 @@ def test_kolmogorov_pvalue_reference_points():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("lam", [1e-3, 0.005, 0.01, 0.05, 0.1, 0.19, 0.2, 0.5, 1.0, 2.0])
+def test_kolmogorov_pvalue_matches_mpmath(lam):
+    # Q(lam) = 1 - theta_4(0, e^{-2 lam^2}), evaluated by mpmath at 40 digits
+    with mpmath.workdps(40):
+        exact = 1 - mpmath.jtheta(4, 0, mpmath.exp(-2 * mpmath.mpf(lam) ** 2))
+    assert abs(kolmogorov_pvalue(lam) - float(exact)) <= 1e-14
+
+
+def test_ks_two_sample_reports_p_one_for_samples_a_step_apart():
+    # D = 1/20000 gives lam = 0.005, where 100 terms of the alternating series read 0.397
+    a = np.arange(20000.0)
+    assert ks_two_sample(a, a + 0.5).extras["p_value"] == 1.0
+
+
 def test_ks_calibration_under_the_null():
     # 100 paired standard-normal samples of size 10^4: the 1% test should
     # reject about once; require >= 95 acceptances.

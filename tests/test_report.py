@@ -9,9 +9,10 @@ from chaoslab.report import (
     canonical_json,
     report_payload,
     version_string,
-    without_meta,
     write_json,
 )
+
+from determinism import without_meta
 
 
 def test_verdict_threshold_semantics():

@@ -7,47 +7,58 @@ import numpy as np
 import pytest
 
 from chaoslab import rng
-from chaoslab.rng import SLAB_ROWS, derive_seed, map_slabs, normal_rows, worker_count
+from chaoslab.rng import SLAB_ROWS, derive_seed, map_slabs, worker_count
+
+
+def _reference_rows(seed, rows, row_len):
+    """Rows [0, rows) read from the stream contract alone: block b is
+    ``Philox(key=stream key, counter=b << 128)``'s normals, drawn whole."""
+    key = rng._stream_key(seed)
+    blocks = [
+        np.random.Generator(np.random.Philox(key=key, counter=b << 128)).standard_normal(
+            (rng.BLOCK_ROWS, row_len)
+        )
+        for b in range(-(-rows // rng.BLOCK_ROWS))
+    ]
+    return np.concatenate(blocks or [np.empty((0, row_len))])[:rows]
+
+
+def _rows(seed, rows, row_len):
+    """Rows [0, rows) as ``map_slabs`` delivers them, gathered into one array."""
+    out = np.full((rows, row_len), np.nan)
+
+    def consume(start, slab):
+        out[start : start + len(slab)] = slab
+
+    map_slabs(seed, row_len, rows, consume)
+    assert not np.isnan(out).any()
+    return out
 
 
 def test_rows_are_deterministic():
-    a = normal_rows(123, 0, 50, 16)
-    b = normal_rows(123, 0, 50, 16)
+    a = _rows(123, 50, 16)
+    b = _rows(123, 50, 16)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (50, 16)
 
 
 def test_row_depends_only_on_seed_and_index():
-    # row 37 of a batch starting at 0 equals a single-row batch starting at 37
-    big = normal_rows(9, 0, 100, 8)
-    single = normal_rows(9, 37, 1, 8)
-    np.testing.assert_array_equal(big[37], single[0])
-
-
-def test_batches_tile_consistently_across_block_boundaries():
-    # the generator blocks rows internally; spans crossing the block edge must agree
-    edge = 512
-    whole = normal_rows(4, edge - 3, 6, 5)
-    for offset in range(6):
-        row = normal_rows(4, edge - 3 + offset, 1, 5)
-        np.testing.assert_array_equal(whole[offset], row[0])
+    # row 37 of a 100-row batch equals the last row of a 38-row batch
+    big = _rows(9, 100, 8)
+    short = _rows(9, 38, 8)
+    np.testing.assert_array_equal(big[37], short[37])
 
 
 def test_row_length_is_part_of_the_address():
     # a row is "row i of an infinite matrix with row_len columns": changing
     # row_len re-addresses every row past the first
-    short = normal_rows(2, 1, 1, 4)
-    long = normal_rows(2, 1, 1, 8)
-    assert not np.array_equal(short[0], long[0, :4])
+    short = _rows(2, 2, 4)
+    long = _rows(2, 2, 8)
+    assert not np.array_equal(short[1], long[1, :4])
 
 
 def test_different_seeds_differ():
-    assert not np.array_equal(normal_rows(1, 0, 4, 8), normal_rows(2, 0, 4, 8))
-
-
-def test_zero_rows_allowed():
-    out = normal_rows(5, 0, 0, 8)
-    assert out.shape == (0, 8)
+    assert not np.array_equal(_rows(1, 4, 8), _rows(2, 4, 8))
 
 
 def test_derive_seed_stable_and_label_sensitive():
@@ -73,7 +84,7 @@ def test_worker_count_env_override(monkeypatch):
 
 
 def test_marginals_are_standard_normal():
-    x = normal_rows(7, 0, 200, 500).ravel()
+    x = _rows(7, 200, 500).ravel()
     n = x.size
     assert abs(x.mean()) < 4.0 / np.sqrt(n)
     assert abs(x.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
@@ -105,8 +116,9 @@ def test_map_slabs_delivers_each_row_once_as_normal_rows(monkeypatch, threads, r
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(delivered, 1)
+    reference = _reference_rows(11, rows, row_len)
     for start, slab in seen:
-        np.testing.assert_array_equal(slab, normal_rows(11, start, len(slab), row_len))
+        np.testing.assert_array_equal(slab, reference[start : start + len(slab)])
 
 
 def test_map_slabs_propagates_consumer_errors(monkeypatch):
@@ -204,4 +216,4 @@ def test_map_slabs_numbers_do_not_depend_on_the_slab_height(monkeypatch, threads
         return np.concatenate([drawn[key] for key in sorted(k for k in drawn if k[0] == height)])
 
     np.testing.assert_array_equal(joined(None), joined(SLAB_ROWS))
-    np.testing.assert_array_equal(joined(None), normal_rows(8, 0, rows, row_len))
+    np.testing.assert_array_equal(joined(None), _reference_rows(8, rows, row_len))
