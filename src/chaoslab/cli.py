@@ -19,6 +19,12 @@ effective configuration; timestamps and runtimes are confined to ``meta``
 blocks so repeated runs with the same config and seed are byte-identical
 outside ``meta``.
 
+Outputs, each with one writer, in ``--out``: ``report.json`` (canonical JSON
+of JSON types only), ``samples.csv`` (the per-path or per-size table that a
+handler returns as ``{column name: column}``, written by ``main``) and, for
+``fbm`` with ``export_paths``, ``paths.npy``: the (m, n + 1) float64 levels
+in numpy's ``.npy`` format, which ``np.load`` reads.
+
 Exit codes: 0 all suites pass, 1 suite failure, 2 invalid config (a value out of
 range or of the wrong JSON type), 3 numerical failure (an ``ArithmeticError``).
 """
@@ -28,18 +34,17 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .experiments import mixture_comparison
-from .fbm import FbmGrid, bounds_suite, rho, sample_paths, save_paths
+from .fbm import FbmGrid, bounds_suite, rho, sample_paths
 from .hermite import NORMALIZATIONS
 from .identities import run_identity_suite
 from .limits import berry_esseen_check, brownian_example_run
@@ -227,7 +232,8 @@ def _regime_map(q: int) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (reports, csv header+rows or None, extra payload)
+# subcommand handlers: each returns (reports, the samples.csv table as
+# {column name: column} or None, extra payload)
 # ---------------------------------------------------------------------------
 
 
@@ -237,34 +243,34 @@ def _run_identities(config: dict[str, Any]):
         instances=config["instances"],
         tolerance=config["tolerance"],
     )
-    header = ["identity", "instances", "max_gap", "failures"]
-    rows = [
-        [name, stats["instances"], stats["max_gap"], stats["failures"]]
-        for name, stats in sorted(report.extras["per_identity"].items())
-    ]
-    return [report], (header, rows), {}
+    per_identity = sorted(report.extras["per_identity"].items())
+    table = {"identity": [name for name, _ in per_identity]}
+    for column in ("instances", "max_gap", "failures"):
+        table[column] = [stats[column] for _, stats in per_identity]
+    return [report], table, {}
 
 
 def _run_fbm(config: dict[str, Any]):
+    if config["export_paths"] and config["m"] == 0:
+        raise ConfigError("export_paths needs m >= 1 paths to write")
     reports = bounds_suite(seed=config["seed"])
-    csv_data = None
-    if config["m"] > 0:
-        grid = FbmGrid(hurst=config["H"], n=_single_n(config))
-        batch = sample_paths(grid, config["m"], config["seed"])
-        if config["export_paths"]:
-            save_paths(batch, Path(config["out"]) / "paths.fbm")
-        header = ["path", "terminal_level", "increment_mean", "increment_std"]
-        rows = [
-            [
-                i,
-                float(batch.paths[i, -1]),
-                float(batch.increments[i].mean()),
-                float(batch.increments[i].std(ddof=1)) if grid.n > 1 else 0.0,
-            ]
-            for i in range(batch.m)
-        ]
-        csv_data = (header, rows)
-    return reports, csv_data, {}
+    if config["m"] == 0:
+        return reports, None, {}
+    grid = FbmGrid(hurst=config["H"], n=_single_n(config))
+    batch = sample_paths(grid, config["m"], config["seed"])
+    if config["export_paths"]:
+        out = Path(config["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        np.save(out / "paths.npy", batch.paths)
+    increments = batch.increments
+    table = {
+        "path": range(batch.m),
+        "terminal_level": batch.paths[:, -1],
+        "increment_mean": increments.mean(axis=1),
+        # ddof=1 over a single increment is NaN; the table writes 0.0 there
+        "increment_std": increments.std(axis=1, ddof=1) if grid.n > 1 else np.zeros(batch.m),
+    }
+    return reports, table, {}
 
 
 def _run_variation(config: dict[str, Any]):
@@ -295,7 +301,11 @@ def _run_variation(config: dict[str, Any]):
         seeds=(config["seed"],),
         extras=extras,
     )
-    return [report], (result.csv_header(), list(result.csv_rows())), {}
+    table = {"path": range(result.m), "gn": result.gn, "correction": result.correction}
+    # q = 1 has no renormalization: its column is written empty
+    table["renormalized"] = [""] * result.m if result.renormalized is None else result.renormalized
+    table.update(sorted((result.components or {}).items()))
+    return [report], table, {}
 
 
 def _run_limit_test(config: dict[str, Any]):
@@ -311,7 +321,7 @@ def _run_limit_test(config: dict[str, Any]):
         variance_tolerance=config["variance_tolerance"],
         alpha=config["alpha"],
     )
-    return [report], _columns(arrays), {}
+    return [report], {"index": range(config["m"]), **arrays}, {}
 
 
 def _run_berry_esseen(config: dict[str, Any]):
@@ -319,18 +329,10 @@ def _run_berry_esseen(config: dict[str, Any]):
         berry_esseen_check(config["H"], n, config["m"], config["seed"])
         for n in config["n"]
     ]
-    header = ["n", "observed_sup_distance", "bound", "mc_error", "normalized_m4"]
-    rows = [
-        [
-            n,
-            rep.statistic,
-            rep.extras["bound"],
-            rep.extras["mc_error"],
-            rep.extras["normalized_m4"],
-        ]
-        for n, rep in zip(config["n"], reports)
-    ]
-    return reports, (header, rows), {}
+    table = {"n": config["n"], "observed_sup_distance": [rep.statistic for rep in reports]}
+    for column in ("bound", "mc_error", "normalized_m4"):
+        table[column] = [rep.extras[column] for rep in reports]
+    return reports, table, {}
 
 
 def _run_example_brownian(config: dict[str, Any]):
@@ -341,7 +343,7 @@ def _run_example_brownian(config: dict[str, Any]):
         resolution=config["resolution"],
         alpha=config["alpha"],
     )
-    return [report], _columns(arrays), {}
+    return [report], {"index": range(config["m"]), **arrays}, {}
 
 
 def _run_constants(config: dict[str, Any]):
@@ -383,26 +385,13 @@ _HANDLERS = {
 }
 
 
-def _columns(arrays: Mapping[str, np.ndarray]):
-    """CSV header and rows of per-replica columns, led by the replica index."""
-    rows = zip(itertools.count(), *(column.tolist() for column in arrays.values()))
-    return ["index", *arrays], rows
-
-
-def _write_samples(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
         config = _effective_config(args)
-        reports, csv_data, extra_payload = _HANDLERS[args.command](config)
+        reports, table, extra_payload = _HANDLERS[args.command](config)
     except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ArithmeticError) else 2
@@ -419,8 +408,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     payload.update(extra_payload)
     write_json(payload, out_dir / "report.json")
-    if csv_data is not None:
-        _write_samples(out_dir / "samples.csv", csv_data[0], csv_data[1])
+    if table is not None:
+        with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(table)
+            # arrays become Python values, which csv writes as repr(); lists and ranges go as they are
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+            writer.writerows(zip(*columns, strict=True))
 
     for report in reports:
         print(report.summary_line())

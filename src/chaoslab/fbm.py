@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,15 +52,12 @@ __all__ = [
     "del_norm",
     "embedding_spectrum",
     "eps_del",
-    "load_paths",
     "map_paths",
     "rho",
     "sample_paths",
-    "save_paths",
 ]
 
 EIGENVALUE_CLIP = 1e-8
-_MAGIC = b"FBMPATH1"
 # the grid of bounds_suite: Hurst indices (all < 1/2), chaos orders, grid sizes,
 # and the number of random (r, s, t) triples of the increment-covariance bound
 BOUNDS_H = (0.1, 0.2, 0.3, 0.4, 0.45)
@@ -81,6 +76,8 @@ SERIES_LEAF = 1 << 16
 
 
 def _check_hurst(H: float) -> float:
+    if isinstance(H, (str, bool)):  # float() would take "0.3" and True
+        raise ValueError(f"Hurst index must be a number, got {H!r}")
     H = float(H)
     if not 0.0 < H < 1.0:
         raise ValueError(f"Hurst index must lie in (0,1), got {H}")
@@ -254,7 +251,8 @@ class FbmGrid:
     n: int
 
     def __post_init__(self) -> None:
-        _check_hurst(self.hurst)
+        # a Python float: a float32 H would round n ** (-2 H) and the spectrum to float32
+        object.__setattr__(self, "hurst", _check_hurst(self.hurst))
         # numpy integers pass; 4.5 is not truncated to 4, nor True taken for 1
         if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
             raise ValueError(f"n must be an integer number of increments, got {self.n!r}")
@@ -442,46 +440,6 @@ def sample_paths(grid: FbmGrid, m: int, seed: int) -> FbmPathBatch:
 
     map_paths(grid, m, seed, fill)
     return FbmPathBatch(grid, increments, seed)
-
-
-# ---------------------------------------------------------------------------
-# path file format
-# ---------------------------------------------------------------------------
-
-
-def save_paths(batch: FbmPathBatch, path: str | Path) -> Path:
-    """Write levels in the FBMPATH1 binary format.
-
-    Layout, all little-endian: magic "FBMPATH1"; u64 m; u64 n; f64 hurst;
-    u64 seed; then m*(n+1) f64 level values, row-major.
-    """
-    path = Path(path)
-    header = _MAGIC + struct.pack(
-        "<QQdQ", batch.m, batch.grid.n, batch.grid.hurst, batch.seed & ((1 << 64) - 1)
-    )
-    levels = np.ascontiguousarray(batch.paths, dtype="<f8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(header)
-        fh.write(levels.tobytes())
-    return path
-
-
-def load_paths(path: str | Path) -> FbmPathBatch:
-    """Read a FBMPATH1 file back into a batch."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != _MAGIC:
-        raise ValueError("not a FBMPATH1 file")
-    m, n, hurst, seed = struct.unpack_from("<QQdQ", raw, 8)
-    grid = FbmGrid(hurst=hurst, n=int(n))
-    expected = 8 + struct.calcsize("<QQdQ") + 8 * m * (n + 1)
-    if len(raw) != expected:
-        raise ValueError(f"file length {len(raw)} does not match header ({expected})")
-    levels = np.frombuffer(raw, dtype="<f8", offset=8 + struct.calcsize("<QQdQ"))
-    levels = levels.reshape(int(m), int(n) + 1).astype(float)
-    batch = FbmPathBatch(grid, np.diff(levels, axis=1), seed)
-    batch.__dict__["paths"] = levels  # the file's level bytes, not a re-summation
-    return batch
 
 
 # ---------------------------------------------------------------------------

@@ -30,24 +30,21 @@ __all__ = [
 
 
 def _jsonable(value: Any) -> Any:
-    """Convert a value into plain JSON-serializable types, recursively."""
+    """Convert a value into plain JSON types, recursively.
+
+    Mappings, lists, tuples, numpy values (through ``tolist``) and
+    str/int/float/bool/None are converted; any other type raises
+    ``TypeError``, since its ``str()`` need not be the same on a rerun.
+    """
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist") and not isinstance(value, (str, bytes)):
-        # numpy scalar or array
-        try:
-            return _jsonable(value.tolist())
-        except (TypeError, ValueError):
-            pass
-    if isinstance(value, (str, int, bool)) or value is None:
+    if hasattr(value, "tolist"):
+        return _jsonable(value.tolist())
+    if value is None or isinstance(value, (str, int, float)):
         return value
-    if isinstance(value, float):
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    return str(value)
+    raise TypeError(f"a report holds only JSON types, not {type(value).__name__}")
 
 
 def canonical_json(payload: Mapping[str, Any]) -> str:

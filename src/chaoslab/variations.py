@@ -175,24 +175,6 @@ class VariationResult:
     def m(self) -> int:
         return self.gn.shape[0]
 
-    def component_names(self) -> list[str]:
-        return sorted(self.components) if self.components else []
-
-    def csv_header(self) -> list[str]:
-        head = ["path", "gn", "correction", "renormalized"]
-        head.extend(self.component_names())
-        return head
-
-    def csv_rows(self):
-        ren = self.renormalized
-        comps = self.components or {}
-        names = self.component_names()
-        for i in range(self.m):
-            row: list[float | int | str] = [i, float(self.gn[i]), float(self.correction[i])]
-            row.append(float(ren[i]) if ren is not None else "")
-            row.extend(float(comps[name][i]) for name in names)
-            yield row
-
     def summary(self) -> dict:
         out: dict = {
             "q": self.q,

@@ -291,7 +291,7 @@ def _identity_suite(seed, instances):
 
 def _cli(argv, config):
     """sha256 of report.json without meta, version and config.out, then
-    samples.csv where the subcommand writes one."""
+    samples.csv and paths.npy where the subcommand writes them."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out, config_path = Path(tmp) / "out", Path(tmp) / "config.json"
         config_path.write_text(config, encoding="utf-8")
@@ -300,8 +300,9 @@ def _cli(argv, config):
         payload.pop("version")
         payload["config"].pop("out")
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-        if (out / "samples.csv").exists():
-            digest.update((out / "samples.csv").read_bytes())
+        for name in ("samples.csv", "paths.npy"):
+            if (out / name).exists():
+                digest.update((out / name).read_bytes())
     return digest.hexdigest()
 
 
@@ -342,6 +343,19 @@ _enter("chaoslab", _cli, {
         "3136cbe54901d0be178770f0b2fe6bd2558c101be7c5d449646eaccb6133ff1e",
     ("constants --q 3 --H 0.3", "{}"):
         "f1e7e75fa7e5613e244c7c719ae799f1409b904d1edf18cbc113e1b9fd420c3e",
+    # recorded while each subcommand still built its own rows: q = 1 leaves
+    # the renormalized column empty, berry-esseen's table has no index column
+    # and mixes ints with floats, and n = 1 writes the increment std as 0.0
+    ("variation --q 1 --H 0.3 --n 16 --m 5 --seed 1", "{}"):
+        "ce6c8d154e280ca0f18aa1e059ab14905a275926d1098e045ab648bd2dd450c6",
+    ("berry-esseen --H 0.3 --n 16,32 --m 64 --seed 2", "{}"):
+        "88e099b9cdecdcc31ee8e948092d462bb2bf01017b424fdd692b711b516ebbed",
+    ("fbm --H 0.3 --n 1 --m 5 --seed 1", "{}"):
+        "c4689544e1eed56311ff5d637066b3d715d50e3cb7a26562ae6a34119d07dac3",
+    # the report and table were recorded while paths went to an FBMPATH1 file;
+    # the paths.npy bytes appended are np.save of sample_paths' levels
+    ("fbm --H 0.3 --n 16 --m 5 --seed 1", '{"export_paths": true}'):
+        "db657655434a471b2d92b92c556331b47d39577ea75b8648ecd596034ad09dc0",
 })
 
 

@@ -15,7 +15,7 @@ import pytest
 import chaoslab.cli
 import chaoslab.report
 from chaoslab.cli import main
-from chaoslab.fbm import FbmGrid, load_paths, sample_paths
+from chaoslab.fbm import FbmGrid, sample_paths
 from chaoslab.report import canonical_json
 
 from determinism import without_meta
@@ -105,6 +105,7 @@ def test_variation_decompose_components_sum_to_statistic(tmp_path):
     (report,) = payload["reports"]
     assert report["name"] == "decomposition-residual"
     assert report["statistic"] <= 1e-8
+    assert report["extras"]["regime"] == "mixed_clt" and report["extras"]["m"] == 3
     lines = _read_csv_lines(tmp_path)
     header = lines[0].split(",")
     assert header == [
@@ -116,7 +117,9 @@ def test_variation_decompose_components_sum_to_statistic(tmp_path):
         "middle_1",
         "remainder",
     ]
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
     for line in lines[1:]:
+        assert len(line.split(",")) == len(header)
         row = dict(zip(header, line.split(",")))
         total = float(row["main"]) + float(row["middle_1"]) + float(row["remainder"])
         assert abs(float(row["gn"]) - total) <= 1e-8
@@ -248,11 +251,10 @@ def test_fbm_export_paths_roundtrip(tmp_path):
     assert payload["passed"] is True
     assert len(payload["reports"]) == 35  # full covariance-bound grid
     assert all(report["name"].startswith("fbm-") for report in payload["reports"])
-    loaded = load_paths(out_dir / "paths.fbm")
-    expected = sample_paths(FbmGrid(hurst=0.5, n=16), 4, 0)
-    assert np.array_equal(loaded.paths, expected.paths)  # levels are serialized
-    np.testing.assert_allclose(loaded.increments, expected.increments, atol=1e-15)
-    assert loaded.grid.hurst == 0.5 and loaded.grid.n == 16
+    loaded = np.load(out_dir / "paths.npy", allow_pickle=False)
+    expected = sample_paths(FbmGrid(hurst=0.5, n=16), 4, 0).paths
+    assert loaded.dtype == np.dtype("<f8") and loaded.shape == (4, 16 + 1)
+    assert loaded.tobytes() == expected.tobytes()
     lines = _read_csv_lines(out_dir)
     assert lines[0] == "path,terminal_level,increment_mean,increment_std"
     assert len(lines) == 1 + 4
@@ -353,6 +355,8 @@ def _run_with_config(tmp_path, argv, config):
         (["identities"], {"tolerance": 0}, "tolerance"),
         # the --n flag rejects an empty list too; neither runs zero sizes
         (["berry-esseen"], {"n": []}, "n must list at least one positive integer"),
+        # no paths to export: nothing would be written
+        (["fbm", "--m", "0"], {"export_paths": True}, "export_paths"),
     ],
 )
 def test_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, argv, config, key):

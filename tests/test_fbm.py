@@ -1,4 +1,4 @@
-"""Fractional Brownian motion: covariances, samplers, file format, bound suite."""
+"""Fractional Brownian motion: covariances, samplers, bound suite."""
 
 import math
 import sys
@@ -20,11 +20,9 @@ from chaoslab.fbm import (
     del_norm,
     embedding_spectrum,
     eps_del,
-    load_paths,
     map_paths,
     rho,
     sample_paths,
-    save_paths,
     signed_rho_power_sum,
 )
 
@@ -193,6 +191,17 @@ def test_grid_validation():
             FbmGrid(0.3, n)
     grid = FbmGrid(0.3, np.int64(16))
     assert grid.n == 16 and type(grid.n) is int
+    for H in ("0.3", True):  # float() would take both
+        with pytest.raises(ValueError, match=f"got {H!r}"):
+            FbmGrid(H, 4)
+    # a numpy H is stored as a Python float, so no power of it rounds to float32
+    for H in (np.float32(0.3), np.float64(0.3)):
+        grid = FbmGrid(H, 16)
+        assert type(grid.hurst) is float and grid.hurst == float(H)
+    np.testing.assert_array_equal(
+        embedding_spectrum(FbmGrid(np.float32(0.3), 16)),
+        embedding_spectrum(FbmGrid(float(np.float32(0.3)), 16)),
+    )
 
 
 def test_increment_covariance_matrix():
@@ -525,40 +534,6 @@ def test_levels_are_the_zero_padded_cumsum_of_increments(plan):
     expected = np.concatenate([np.zeros((5, 1)), np.cumsum(batch.increments, axis=1)], axis=1)
     np.testing.assert_array_equal(batch.paths, expected)
     assert batch.paths is batch.paths  # summed once, then kept
-
-
-# -- file format ---------------------------------------------------------------
-
-
-def test_save_load_roundtrip(tmp_path):
-    grid = FbmGrid(0.35, 16)
-    batch = sample_paths(grid, 7, seed=21)
-    target = tmp_path / "paths.fbm"
-    save_paths(batch, target)
-    back = load_paths(target)
-    np.testing.assert_array_equal(back.paths, batch.paths)
-    assert back.grid.hurst == pytest.approx(0.35)
-    assert back.grid.n == 16
-    assert back.seed == 21
-    np.testing.assert_array_equal(back.increments, np.diff(batch.paths, axis=1))
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    bad = tmp_path / "x.fbm"
-    bad.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="FBMPATH1"):
-        load_paths(bad)
-
-
-def test_load_rejects_truncation(tmp_path):
-    grid = FbmGrid(0.35, 8)
-    batch = sample_paths(grid, 3, seed=2)
-    target = tmp_path / "t.fbm"
-    save_paths(batch, target)
-    data = target.read_bytes()
-    target.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match="length"):
-        load_paths(target)
 
 
 # -- the covariance-bound suite -------------------------------------------------

@@ -48,10 +48,9 @@ MAX_KNOBS = 31
 ONLY_TESTS_CALL = {
     "experiments.riemann_comparison": "acceptance criterion 6",
     "variations.a_n_statistic": "the demos",
-    "fbm.load_paths": "the FBMPATH1 reader, the inverse of the CLI's writer",
-    "fbm.FbmGrid.increment_covariance": "a test fixture",
+    "fbm.FbmGrid.increment_covariance": "the exact Gaussian space of criterion 3's Skorohod oracle; the circulant tests' reference",
     "space.GaussianSpace.basis_rv": "the README quick tour and demos/identity_showcase.py",
-    "malliavin.PolyTensor.from_constant_tensor": "a test fixture",
+    "malliavin.PolyTensor.from_constant_tensor": "the constant integrands of criterion 3's Skorohod oracle",
 }
 
 

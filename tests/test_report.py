@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from chaoslab.report import (
     TestReport,
@@ -114,3 +115,9 @@ def test_payload_with_numpy_extras_serializes():
     payload = report_payload([report], config={}, meta={})
     parsed = json.loads(canonical_json(payload))
     assert parsed["reports"][0]["extras"]["values"] == [1.0, 2.0]
+
+
+def test_a_value_of_no_json_type_is_refused():
+    # its str() could carry a memory address into a report that reruns byte for byte
+    with pytest.raises(TypeError, match="object"):
+        report_payload([], config={"x": object()}, meta={})

@@ -379,20 +379,6 @@ def test_full_variation_q1_has_no_regime():
     assert result.components is None and result.max_residual is None
 
 
-def test_variation_result_csv_layout():
-    batch = sample_paths(FbmGrid(0.3, 16), 3, seed=23)
-    result = full_variation(batch, 2, ONE, decompose=True)
-    header = result.csv_header()
-    assert header[:4] == ["path", "gn", "correction", "renormalized"]
-    assert header[4:] == ["main", "middle_1", "remainder"]
-    rows = list(result.csv_rows())
-    assert len(rows) == 3
-    assert all(len(row) == len(header) for row in rows)
-    summary = result.summary()
-    assert summary["regime"] == "mixed_clt"
-    assert summary["m"] == 3
-
-
 # -- the quadratic functional A_n -------------------------------------------------
 
 
