@@ -379,6 +379,26 @@ def test_full_variation_q1_has_no_regime():
     assert result.components is None and result.max_residual is None
 
 
+def test_variation_result_csv_layout(tmp_path):
+    from chaoslab.cli import main
+
+    batch = sample_paths(FbmGrid(0.3, 16), 3, seed=23)
+    result = full_variation(batch, 2, ONE, decompose=True)
+    argv = ["variation", "--q", "2", "--H", "0.3", "--n", "16", "--m", "3", "--seed", "23"]
+    assert main([*argv, "--decompose", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "samples.csv").read_text(encoding="utf-8").strip().splitlines()
+    header = lines[0].split(",")
+    assert header[:4] == ["path", "gn", "correction", "renormalized"]
+    assert header[4:] == sorted(result.components) == ["main", "middle_1", "remainder"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == result.m == 3
+    assert all(len(row) == len(header) for row in rows)
+    assert [float(row[1]) for row in rows] == result.gn.tolist()
+    summary = result.summary()
+    assert summary["regime"] == "mixed_clt"
+    assert summary["m"] == 3
+
+
 # -- the quadratic functional A_n -------------------------------------------------
 
 
